@@ -20,6 +20,7 @@ from pathlib import Path
 from . import experiments
 from .core import (
     BadIdentifier,
+    BadRecord,
     TooLarge,
     WrongMultiplicity,
     brute_force_opt,
@@ -64,6 +65,7 @@ EXPERIMENTS = (
 _USAGE_ERRORS = (
     WrongMultiplicity,
     BadIdentifier,
+    BadRecord,
     TooLarge,
     UnknownParams,
     UnknownAlgo,
@@ -73,7 +75,6 @@ _USAGE_ERRORS = (
     DegenerateBaseline,
     OSError,
     json.JSONDecodeError,
-    KeyError,
 )
 
 
@@ -96,6 +97,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -143,25 +151,22 @@ def _cmd_qaoa(args) -> int:
     instances = read_jsonl(args.infile)
     params = tree_params(args.p)
     rows = []
+    cap = args.cap_qubits or (26 if args.method == "lightcone" else 22)
     for idx, inst in enumerate(instances):
         graph = to_ising(inst)
         start = time.perf_counter()
-        if args.method == "lightcone":
-            cap = args.cap_qubits if args.cap_qubits is not None else 26
-            summary = lightcone_expectation(graph, params, support_cap=cap)
-            mean_adj = summary.mean_adjacency_energy
-            mean_dc = summary.mean_color_changes
-        elif args.shots == 0:
-            cap = args.cap_qubits if args.cap_qubits is not None else 22
-            summary = expectation(graph, params, cap_qubits=cap)
-            mean_adj = summary.mean_adjacency_energy
-            mean_dc = summary.mean_color_changes
-        else:
-            cap = args.cap_qubits if args.cap_qubits is not None else 22
+        if args.shots:
             state = simulate_state(graph, params, cap_qubits=cap)
             indices = _sample_indices(state, args.shots, instance_rng(args.seed, idx))
             mean_dc = float(color_change_vector(inst)[indices].mean())
             mean_adj = 2 * mean_dc - (2 * inst.n - 1)
+        else:
+            if args.method == "lightcone":
+                summary = lightcone_expectation(graph, params, support_cap=cap)
+            else:
+                summary = expectation(graph, params, cap_qubits=cap)
+            mean_adj = summary.mean_adjacency_energy
+            mean_dc = summary.mean_color_changes
         elapsed = (time.perf_counter() - start) * 1000
         rows.append(
             {
@@ -198,7 +203,7 @@ def _cmd_experiment(args) -> int:
             n=args.n or 1000,
             count=args.count or 20,
             seed=args.seed,
-            support_cap=args.cap_qubits if args.cap_qubits is not None else 26,
+            support_cap=args.cap_qubits or 26,
         )
     elif name == "table1-p2":
         rows, summary = experiments.run_table1(
@@ -206,7 +211,7 @@ def _cmd_experiment(args) -> int:
             n=args.n or 300,
             count=args.count or 10,
             seed=args.seed,
-            support_cap=args.cap_qubits if args.cap_qubits is not None else 26,
+            support_cap=args.cap_qubits or 26,
         )
     elif name == "fig2":
         rows, summary = experiments.run_fig2(
@@ -251,26 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write random instances as JSON lines")
     gen.add_argument("--n", type=_positive_int, required=True, help="cars per instance")
     gen.add_argument("--count", type=_positive_int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_nonnegative_int, default=0)
     gen.add_argument("--out", dest="outfile", required=True)
 
     solve = sub.add_parser("solve", help="run a classical solver over instances")
     solve.add_argument("--algo", choices=ALGOS, required=True)
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out", dest="outfile", required=True)
-    solve.add_argument("--cap-qubits", type=int, default=24,
+    solve.add_argument("--cap-qubits", type=_positive_int, default=24,
                        help="enumeration cap for brute-force")
 
     qaoa = sub.add_parser("qaoa", help="circuit expectations over instances")
     qaoa.add_argument("--p", type=int, required=True)
     qaoa.add_argument("--method", choices=("statevector", "lightcone"),
                       default="statevector")
-    qaoa.add_argument("--shots", type=int, default=0,
+    qaoa.add_argument("--shots", type=_nonnegative_int, default=0,
                       help="0 for exact expectations, else sampled estimates")
-    qaoa.add_argument("--seed", type=int, default=0, help="sampling seed")
+    qaoa.add_argument("--seed", type=_nonnegative_int, default=0,
+                      help="sampling seed")
     qaoa.add_argument("--in", dest="infile", required=True)
     qaoa.add_argument("--out", dest="outfile", required=True)
-    qaoa.add_argument("--cap-qubits", type=int, default=None,
+    qaoa.add_argument("--cap-qubits", type=_positive_int, default=None,
                       help="qubit cap (default 22 statevector, 26 lightcone)")
 
     experiment = sub.add_parser("experiment", help="named benchmark scenario")
@@ -279,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="output directory")
     experiment.add_argument("--n", type=_positive_int, default=None)
     experiment.add_argument("--count", type=_positive_int, default=None)
-    experiment.add_argument("--seed", type=int, default=None)
+    experiment.add_argument("--seed", type=_nonnegative_int, default=None)
     experiment.add_argument("--p", type=int, default=None)
     experiment.add_argument("--alpha", type=float, default=None)
-    experiment.add_argument("--cap-qubits", type=int, default=None)
+    experiment.add_argument("--cap-qubits", type=_positive_int, default=None)
     return parser
 
 

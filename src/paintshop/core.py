@@ -24,6 +24,10 @@ class BadIdentifier(ValueError):
     """Car identifiers are not the dense range 0..n-1."""
 
 
+class BadRecord(ValueError):
+    """A JSON line is not an object with "n" and "sequence"."""
+
+
 class TooLarge(ValueError):
     """Exhaustive enumeration would exceed the configured size cap."""
 
@@ -83,11 +87,16 @@ def validate(sequence: Sequence[int]) -> BpspInstance:
     """Check the paint shop word invariants and build an instance.
 
     Raises WrongMultiplicity if any identifier does not appear exactly twice,
-    BadIdentifier if the identifiers are not exactly 0..n-1.
+    BadIdentifier if an entry is not an integer (floats, booleans and strings
+    are rejected, never coerced) or the identifiers are not exactly 0..n-1.
     """
-    seq = np.asarray(sequence, dtype=np.int64)
+    seq = np.asarray(sequence, dtype=object)
     if seq.ndim != 1 or seq.size == 0:
         raise WrongMultiplicity("sequence must be a non-empty flat list of cars")
+    for car in seq:
+        if isinstance(car, bool) or not isinstance(car, (int, np.integer)):
+            raise BadIdentifier(f"car identifiers must be integers, got {car!r}")
+    seq = seq.astype(np.int64)
     ids, counts = np.unique(seq, return_counts=True)
     bad = ids[counts != 2]
     if bad.size:
@@ -220,15 +229,26 @@ def read_jsonl(path: str | Path) -> list[BpspInstance]:
     """Read instances from JSON lines of {"n": ..., "sequence": [...]}."""
     instances = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
-            inst = validate(obj["sequence"])
+            if not isinstance(obj, dict):
+                raise BadRecord(
+                    f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
+            for key in ("n", "sequence"):
+                if key not in obj:
+                    raise BadRecord(f"line {lineno}: missing key {key!r}")
+            try:
+                inst = validate(obj["sequence"])
+            except (WrongMultiplicity, BadIdentifier) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
             if inst.n != obj["n"]:
                 raise WrongMultiplicity(
-                    f"declared n={obj['n']} but sequence has {inst.n} cars"
+                    f"line {lineno}: declared n={obj['n']} "
+                    f"but sequence has {inst.n} cars"
                 )
             instances.append(inst)
     return instances

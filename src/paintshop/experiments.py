@@ -10,12 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    BpspInstance,
     color_changes,
     hard_instance,
     instance_rng,
     random_instance,
-    random_guess_expectation,
 )
 from .heuristics import greedy, recursive_greedy, red_first
 from .ising import coupling_stats, to_ising
@@ -289,7 +287,3 @@ def run_fig3(
     }
     return rows, summary
 
-
-def baseline_mean(instances: list[BpspInstance]) -> float:
-    """Mean analytic random-guess cost over a set of instances."""
-    return float(np.mean([random_guess_expectation(inst) for inst in instances]))

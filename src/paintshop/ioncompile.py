@@ -25,7 +25,7 @@ import numpy as np
 from .core import TooLarge
 from .ising import CouplingGraph
 from .qaoa.params import PHASE_SCALE, QaoaParams
-from .qaoa.statevector import Statevector
+from .qaoa.statevector import Statevector, _apply_1q
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,6 @@ def _gate_matrix(gate: NativeGate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, bit: int) -> None:
-    view = state.reshape(-1, 2, 1 << bit)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    view[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
-
-
 def _apply_2q(state: np.ndarray, mat: np.ndarray, bit_a: int, bit_b: int, n: int) -> np.ndarray:
     tensor = state.reshape([2] * n)
     # Axis for index bit t is n-1-t; matrix rows/cols are ordered (a, b).
@@ -184,7 +176,7 @@ def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevec
         if gate.kind == "rxx":
             state = _apply_2q(state, mat, gate.qubits[0], gate.qubits[1], n)
         else:
-            _apply_1q(state, mat, gate.qubits[0])
+            _apply_1q(state, mat.tolist(), gate.qubits[0])
     return Statevector(qubit_ids=tuple(range(n)), amplitudes=state)
 
 

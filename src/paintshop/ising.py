@@ -188,9 +188,11 @@ def tree_gauge(graph: CouplingGraph) -> frozenset:
     adj = graph.adjacency_lists()
     sign = np.zeros(graph.n, dtype=np.int8)
     flips: set[int] = set()
+    components = 0
     for root in range(graph.n):
         if sign[root]:
             continue
+        components += 1
         sign[root] = 1
         component = [root]
         stack = [root]
@@ -214,28 +216,9 @@ def tree_gauge(graph: CouplingGraph) -> frozenset:
         flips.update(chosen)
     # Consistency of the sign labelling also certifies acyclicity only up to
     # even cycles; reject any remaining cycle explicitly.
-    if len(graph.couplings) > graph.n - _component_count(graph):
+    if len(graph.couplings) > graph.n - components:
         raise NotATree("coupling graph has more edges than a forest allows")
     return frozenset(flips)
-
-
-def _component_count(graph: CouplingGraph) -> int:
-    adj = graph.adjacency_lists()
-    seen = np.zeros(graph.n, dtype=bool)
-    components = 0
-    for root in range(graph.n):
-        if seen[root]:
-            continue
-        components += 1
-        stack = [root]
-        seen[root] = True
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-    return components
 
 
 def apply_gauge(graph: CouplingGraph, flips: frozenset | set) -> CouplingGraph:

@@ -7,19 +7,23 @@ couplings plus the constant gives the exact mean adjacency energy without
 ever building the full statevector, so instance size is limited by coupling
 degrees rather than qubit count.
 
+One breadth-first search per coupling records each qubit's distance from
+the edge, up to p: distance <= p is the support (checked against the cap),
+distance < p the kept ball, distance exactly p its boundary.
+
 Two exact evaluation engines sit behind the contract:
 
-* ``statevector``: dense simulation of the restricted circuit on the
-  support, from |+...+>.
-* ``traced``: qubits at distance exactly p interact only through first-level
-  phase gates, so tracing them out turns the initial projector on the
-  radius-(p-1) ball into entrywise cosine damping factors; the remaining
-  levels evolve a density matrix on that smaller ball.  Algebraically
-  identical to the statevector result, and exponentially cheaper whenever
-  the support is dominated by its boundary (the generic case on the
-  near-4-regular graphs of large random words).
+* ``statevector``: the dense simulator, ``simulate_state``, run on the
+  support relabelled to 0..k-1.
+* ``traced``: boundary qubits interact only through first-level phase
+  gates, so tracing them out turns the initial projector on the kept ball
+  into entrywise cosine damping factors; the remaining levels evolve a
+  density matrix on that smaller ball.  Algebraically identical to the
+  statevector result, and exponentially cheaper whenever the support is
+  dominated by its boundary (the generic case on the near-4-regular graphs
+  of large random words).
 
-The automatic choice takes the engine with the smaller state: 4^|ball_(p-1)|
+The automatic choice takes the engine with the smaller state: 4^|kept|
 versus 2^|support|.
 """
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from ..core import random_instance
 from ..ising import CouplingGraph, to_ising
 from .params import PHASE_SCALE, PHASE_SCALE_UNHALVED, QaoaParams, tree_params
-from .statevector import EnergySummary, _apply_x_rotation, _run_circuit
+from .statevector import EnergySummary, _apply_1q, _x_rotation, simulate_state
 
 
 class SupportTooLarge(ValueError):
@@ -47,58 +51,53 @@ class LightconeTask:
     included_edges: tuple
 
 
-def _ball(adjacency, seeds, radius: int) -> set:
-    seen = set(seeds)
-    frontier = list(seeds)
-    for _ in range(radius):
+def _distances(adjacency, edge, radius: int) -> dict:
+    """Graph distance from the edge of every qubit within ``radius`` of it."""
+    dist = dict.fromkeys(edge, 0)
+    frontier = list(edge)
+    for d in range(1, radius + 1):
         grown = []
         for u in frontier:
             for v, _ in adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
+                if v not in dist:
+                    dist[v] = d
                     grown.append(v)
         frontier = grown
-    return seen
+    return dist
+
+
+def _included_edges(adj, support) -> dict:
+    """Couplings with both endpoints in the support, in sorted order."""
+    return dict(sorted(
+        ((u, v), J) for u in support for v, J in adj[u] if u < v and v in support
+    ))
 
 
 def lightcone_support(graph: CouplingGraph, edge: tuple, p: int) -> LightconeTask:
     """Support (radius-p ball around the edge) and the couplings inside it."""
     adjacency = graph.adjacency_lists()
-    return _support_task(graph, adjacency, edge, p)
+    support = _distances(adjacency, edge, p)
+    included = tuple(_included_edges(adjacency, support))
+    return LightconeTask(tuple(edge), frozenset(support), included)
 
 
-def _support_task(graph, adjacency, edge, p: int) -> LightconeTask:
-    i, j = edge
-    support = _ball(adjacency, (i, j), p)
-    included = tuple(
-        (a, b)
-        for a, b in sorted(graph.couplings)
-        if a in support and b in support
-    )
-    return LightconeTask(edge=(i, j), support=frozenset(support), included_edges=included)
-
-
-def _corr_statevector(graph, task, params, phase_scale) -> float:
-    """<Z_i Z_j> from a dense statevector on the support."""
-    qubits = tuple(sorted(task.support))
-    index = {q: t for t, q in enumerate(qubits)}
-    k = len(qubits)
+def _corr_statevector(adjacency, edge, support, params, phase_scale) -> float:
+    """<Z_i Z_j> from the dense simulator on the support."""
+    index = {q: t for t, q in enumerate(sorted(support))}
+    k = len(index)
+    included = _included_edges(adjacency, index)
+    local = {(index[a], index[b]): val for (a, b), val in included.items()}
+    graph = CouplingGraph(n=k, couplings=local, constant=0)
+    state = simulate_state(graph, params, phase_scale=phase_scale, cap_qubits=k)
+    probs = np.abs(state.amplitudes) ** 2
     basis = np.arange(1 << k, dtype=np.int64)
-    energies = np.zeros(1 << k, dtype=np.int64)
-    for a, b in task.included_edges:
-        parity = ((basis >> index[a]) ^ (basis >> index[b])) & 1
-        energies += graph.couplings[(a, b)] * (1 - 2 * parity)
-    dtype = np.complex128 if k <= 22 else np.complex64
-    state = np.full(1 << k, 1 / np.sqrt(1 << k), dtype=dtype)
-    state = _run_circuit(state, energies, params, k, phase_scale)
-    probs = np.abs(state) ** 2
-    i, j = task.edge
+    i, j = edge
     spins = (1 - 2 * ((basis >> index[i]) & 1)) * (1 - 2 * ((basis >> index[j]) & 1))
     return float(probs @ spins)
 
 
-def _corr_traced(graph, adjacency, edge, params, phase_scale) -> float:
-    """<Z_i Z_j> from a density matrix on the radius-(p-1) ball.
+def _corr_traced(adjacency, edge, kept, params, phase_scale) -> float:
+    """<Z_i Z_j> from a density matrix on the sorted kept ball ``kept``.
 
     Boundary qubits (distance exactly p) carry only first-level phase gates,
     so averaging over their computational basis turns each into the factor
@@ -106,25 +105,20 @@ def _corr_traced(graph, adjacency, edge, params, phase_scale) -> float:
     phi_v(z) = gamma_1 * sum over kept neighbors u of theta_uv * s_u(z).
     """
     i, j = edge
-    p = params.p
-    kept = sorted(_ball(adjacency, (i, j), p - 1))
     index = {q: t for t, q in enumerate(kept)}
     k = len(kept)
     basis = np.arange(1 << k, dtype=np.int64)
     spin = {q: (1 - 2 * ((basis >> index[q]) & 1)).astype(np.float64) for q in kept}
 
+    # ``kept`` is sorted, so u < v picks each interior coupling at its first visit.
     interior = []
     boundary: dict = {}
-    seen = set()
     for u in kept:
         for v, val in adjacency[u]:
-            if v in index:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    interior.append((u, v, val))
-            else:
+            if v not in index:
                 boundary.setdefault(v, []).append((u, val))
+            elif u < v:
+                interior.append((u, v, val))
 
     def phase_vector(gamma: float) -> np.ndarray:
         phi = np.zeros(1 << k)
@@ -147,10 +141,11 @@ def _corr_traced(graph, adjacency, edge, params, phase_scale) -> float:
         flat = rho.reshape(-1)
         # Row index bits live at k..2k-1, column bits at 0..k-1; the column
         # side takes the conjugated rotation.
+        row, col = _x_rotation(beta), _x_rotation(-beta)
         for t in range(k):
-            _apply_x_rotation(flat, beta, k + t)
+            _apply_1q(flat, row, k + t)
         for t in range(k):
-            _apply_x_rotation(flat, -beta, t)
+            _apply_1q(flat, col, t)
 
     mix(beta1)
     for gamma, beta in params.angles[1:]:
@@ -174,19 +169,20 @@ def edge_correlation(
 ) -> float:
     """<Z_i Z_j> of one coupling under the restricted circuit."""
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency
-    task = _support_task(graph, adjacency, edge, params.p)
-    size = len(task.support)
+    p = params.p
+    dist = _distances(adjacency, edge, p)
+    size = len(dist)
     if size > support_cap:
         raise SupportTooLarge(
             f"support of {edge} has {size} qubits, cap is {support_cap}"
         )
+    kept = sorted(q for q, d in dist.items() if d < p)
     if engine == "auto":
-        kept = len(_ball(adjacency, edge, params.p - 1))
-        engine = "traced" if 2 * kept < size else "statevector"
+        engine = "traced" if 2 * len(kept) < size else "statevector"
     if engine == "traced":
-        return _corr_traced(graph, adjacency, edge, params, phase_scale)
+        return _corr_traced(adjacency, edge, kept, params, phase_scale)
     if engine == "statevector":
-        return _corr_statevector(graph, task, params, phase_scale)
+        return _corr_statevector(adjacency, edge, dist, params, phase_scale)
     raise ValueError(f"unknown engine {engine!r}")
 
 

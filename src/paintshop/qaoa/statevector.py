@@ -31,53 +31,54 @@ class EnergySummary:
     mean_color_changes: float
 
 
-def pair_energy_vector(
-    graph: CouplingGraph, qubit_order: tuple | None = None
-) -> np.ndarray:
-    """sum_ij J_ij s_i s_j per basis index, as an integer vector.
-
-    ``qubit_order`` restricts and re-indexes the graph to the listed qubits;
-    couplings with an endpoint outside the list are ignored.
-    """
-    if qubit_order is None:
-        qubit_order = tuple(range(graph.n))
-    index = {q: t for t, q in enumerate(qubit_order)}
-    k = len(qubit_order)
-    basis = np.arange(1 << k, dtype=np.int64)
-    energies = np.zeros(1 << k, dtype=np.int64)
+def pair_energy_vector(graph: CouplingGraph) -> np.ndarray:
+    """sum_ij J_ij s_i s_j per basis index, as an integer vector."""
+    basis = np.arange(1 << graph.n, dtype=np.int64)
+    energies = np.zeros(1 << graph.n, dtype=np.int64)
     for (i, j) in sorted(graph.couplings):
-        if i not in index or j not in index:
-            continue
-        parity = ((basis >> index[i]) ^ (basis >> index[j])) & 1
+        parity = ((basis >> i) ^ (basis >> j)) & 1
         energies += graph.couplings[(i, j)] * (1 - 2 * parity)
     return energies
 
 
-def _apply_x_rotation(state: np.ndarray, beta: float, bit: int) -> None:
-    """In-place exp(-i beta X) on the given index bit."""
-    # Python scalars keep single-precision states single precision.
-    c = float(np.cos(beta))
-    s = complex(-1j * np.sin(beta))
+def _apply_1q(state: np.ndarray, mat, bit: int) -> None:
+    """In-place 2x2 gate on the given index bit.
+
+    ``mat`` = ((m00, m01), (m10, m11)) holds Python scalars, so single-precision
+    states stay single precision.
+    """
+    (m00, m01), (m10, m11) = mat
     view = state.reshape(-1, 2, 1 << bit)
     a0 = view[:, 0, :].copy()
     a1 = view[:, 1, :]
-    view[:, 0, :] = c * a0 + s * a1
-    view[:, 1, :] = s * a0 + c * a1
+    view[:, 0, :] = m00 * a0 + m01 * a1
+    view[:, 1, :] = m10 * a0 + m11 * a1
 
 
-def _run_circuit(
-    state: np.ndarray,
-    energies: np.ndarray,
-    params: QaoaParams,
-    n_qubits: int,
-    phase_scale: float,
-) -> np.ndarray:
+def _x_rotation(beta: float) -> tuple:
+    """exp(-i beta X) as Python scalars."""
+    c = float(np.cos(beta))
+    s = complex(-1j * np.sin(beta))
+    return ((c, s), (s, c))
+
+
+def _simulate(
+    graph: CouplingGraph, params: QaoaParams, phase_scale: float, cap_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes after p levels from |+...+>, and the energy vector used."""
+    n = graph.n
+    if n > cap_qubits:
+        raise TooLarge(f"statevector capped at {cap_qubits} qubits, got {n}")
+    dtype = np.complex128 if n <= 22 else np.complex64
+    state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=dtype)
+    energies = pair_energy_vector(graph)
     for gamma, beta in params.angles:
         phases = np.exp((-1j * gamma * phase_scale) * energies)
         state = state * phases.astype(state.dtype, copy=False)
-        for bit in range(n_qubits):
-            _apply_x_rotation(state, beta, bit)
-    return state
+        mixer = _x_rotation(beta)
+        for bit in range(n):
+            _apply_1q(state, mixer, bit)
+    return state, energies
 
 
 def simulate_state(
@@ -91,14 +92,8 @@ def simulate_state(
 
     Single precision is used above 22 qubits to halve the footprint.
     """
-    n = graph.n
-    if n > cap_qubits:
-        raise TooLarge(f"statevector capped at {cap_qubits} qubits, got {n}")
-    dtype = np.complex128 if n <= 22 else np.complex64
-    state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=dtype)
-    energies = pair_energy_vector(graph)
-    state = _run_circuit(state, energies, params, n, phase_scale)
-    return Statevector(qubit_ids=tuple(range(n)), amplitudes=state)
+    state, _ = _simulate(graph, params, phase_scale, cap_qubits)
+    return Statevector(qubit_ids=tuple(range(graph.n)), amplitudes=state)
 
 
 def expectation(
@@ -109,11 +104,8 @@ def expectation(
     cap_qubits: int = 22,
 ) -> EnergySummary:
     """Exact circuit expectations of the adjacency energy and the cost."""
-    state = simulate_state(
-        graph, params, phase_scale=phase_scale, cap_qubits=cap_qubits
-    )
-    probs = np.abs(state.amplitudes) ** 2
-    energies = pair_energy_vector(graph)
+    state, energies = _simulate(graph, params, phase_scale, cap_qubits)
+    probs = np.abs(state) ** 2
     mean_adj = graph.constant + float(probs @ energies)
     return EnergySummary(
         mean_adjacency_energy=mean_adj,

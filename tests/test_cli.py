@@ -40,6 +40,10 @@ class TestGen:
         assert run_cli("gen", "--n", "0",
                        "--out", str(tmp_path / "x.jsonl")) == 2
 
+    def test_rejects_negative_seed(self, tmp_path):
+        assert run_cli("gen", "--n", "3", "--seed", "-1",
+                       "--out", str(tmp_path / "x.jsonl")) == 2
+
 
 class TestSolve:
     def test_columns_and_determinism(self, instances, tmp_path):
@@ -72,6 +76,28 @@ class TestSolve:
         with pytest.raises(UnknownAlgo):
             solve_instance(validate([0, 1, 0, 1]), "annealing")
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_cap_is_a_usage_error(self, instances, tmp_path,
+                                              capsys, cap):
+        assert run_cli("solve", "--algo", "brute-force", "--cap-qubits", cap,
+                       "--in", str(instances),
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert "argument --cap-qubits: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1,2]", "error: line 2: expected a JSON object, got list"),
+        ('{"sequence":[0,0]}', "error: line 2: missing key 'n'"),
+        ('{"n":1,"sequence":[0.5,0.5]}',
+         "error: line 2: car identifiers must be integers, got 0.5"),
+    ])
+    def test_malformed_line_is_a_one_line_usage_error(self, tmp_path, capsys,
+                                                      line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"n":1,"sequence":[0,0]}\n' + line + "\n")
+        assert run_cli("solve", "--algo", "greedy", "--in", str(path),
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_missing_input_file(self, tmp_path):
         assert run_cli("solve", "--algo", "greedy",
                        "--in", str(tmp_path / "nope.jsonl"),
@@ -101,6 +127,22 @@ class TestQaoa:
     def test_depth_without_schedule_is_a_usage_error(self, instances, tmp_path):
         assert run_cli("qaoa", "--p", "6", "--in", str(instances),
                        "--out", str(tmp_path / "x.csv")) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--shots", "-1"),
+        ("--cap-qubits", "0"),
+        ("--cap-qubits", "-3"),
+        ("--seed", "-1"),
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, instances, tmp_path,
+                                                capsys, flag, value):
+        for method in ("statevector", "lightcone"):
+            assert run_cli("qaoa", "--p", "1", "--method", method, flag, value,
+                           "--in", str(instances),
+                           "--out", str(tmp_path / "x.csv")) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert f"argument {flag}: must be >=" in err
 
     def test_shots_with_lightcone_is_a_usage_error(self, instances, tmp_path):
         assert run_cli("qaoa", "--p", "1", "--method", "lightcone",
@@ -141,6 +183,17 @@ class TestExperiment:
             blobs.append((out / "heuristic-asymptotics.csv").read_bytes())
         assert blobs[0] == blobs[2]
         assert blobs[1] == blobs[3]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cap-qubits", "0"),
+        ("--cap-qubits", "-3"),
+        ("--seed", "-1"),
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, capsys,
+                                                flag, value):
+        assert run_cli("experiment", "table1-p1", "--n", "20", "--count", "1",
+                       flag, value, "--out", str(tmp_path / "x")) == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
     def test_unknown_name_rejected_by_parser(self, tmp_path):
         assert run_cli("experiment", "fig9", "--out", str(tmp_path / "x")) == 2

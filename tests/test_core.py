@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from paintshop import (
     BadIdentifier,
+    BadRecord,
     Coloring,
     TooLarge,
     WrongMultiplicity,
@@ -79,6 +80,17 @@ class TestValidate:
             validate([0, 0, 2, 2])
         with pytest.raises(BadIdentifier):
             validate([-1, 0, 0, -1])
+
+    def test_rejects_non_integer_entries_without_coercion(self):
+        for word in ([0.5, 0.5], [0, 1, 1, 0.9], [0.0, 0.0], ["0", "0"],
+                     [True, True], [0, True, 0, True]):
+            with pytest.raises(BadIdentifier):
+                validate(word)
+
+    def test_accepts_numpy_integers(self):
+        inst = validate(np.array([1, 0, 1, 0], dtype=np.int32))
+        assert inst.sequence.dtype == np.int64
+        assert inst.sequence.tolist() == [1, 0, 1, 0]
 
     def test_multiplicity_reported_before_identifier_range(self):
         with pytest.raises(WrongMultiplicity):
@@ -217,3 +229,21 @@ class TestJsonl:
         raw = path.read_bytes()
         assert raw == b'{"n":2,"sequence":[1,0,1,0]}\n'
         assert json.loads(raw) == {"n": 2, "sequence": [1, 0, 1, 0]}
+
+    @pytest.mark.parametrize(
+        "bad_line, error, text",
+        [
+            ("[1,2]", BadRecord, "line 2: expected a JSON object, got list"),
+            ('{"sequence":[0,0]}', BadRecord, "line 2: missing key 'n'"),
+            ('{"n":1}', BadRecord, "line 2: missing key 'sequence'"),
+            ('{"n":2,"sequence":[0,1,1,0.5]}', BadIdentifier, "line 2: "),
+            ('{"n":2,"sequence":[0,1,1]}', WrongMultiplicity, "line 2: "),
+            ('{"n":3,"sequence":[0,1,1,0]}', WrongMultiplicity, "line 2: declared n=3"),
+        ],
+    )
+    def test_malformed_lines_name_the_line(self, tmp_path, bad_line, error, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"n":1,"sequence":[0,0]}\n' + bad_line + "\n")
+        with pytest.raises(error) as info:
+            read_jsonl(path)
+        assert str(info.value).startswith(text)

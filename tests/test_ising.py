@@ -159,6 +159,23 @@ class TestTreeGauge:
         with pytest.raises(NotATree):
             tree_gauge(frustrated)
 
+    def test_one_adjacency_build_for_a_forest(self, monkeypatch):
+        calls = []
+        original = CouplingGraph.adjacency_lists
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(CouplingGraph, "adjacency_lists", counted)
+        # Three components: 0-1, 2-3-4 and the isolated qubit 5.
+        g = CouplingGraph(
+            n=6, couplings={(0, 1): -1, (2, 3): 1, (3, 4): -1}, constant=0
+        )
+        flips = tree_gauge(g)
+        assert len(calls) == 1
+        assert set(apply_gauge(g, flips).couplings.values()) == {1}
+
     def test_rejects_non_unit_couplings(self):
         g = CouplingGraph(n=2, couplings={(0, 1): 2}, constant=0)
         with pytest.raises(NonUnitCoupling):

@@ -16,6 +16,7 @@ from paintshop import (
     lightcone_expectation,
     lightcone_support,
     random_instance,
+    simulate_state,
     to_ising,
     tree_gauge,
     tree_params,
@@ -64,14 +65,16 @@ class TestSupport:
                     assert len(task.support) <= 3 ** (p + 1) - 1
 
     def test_included_edges_are_those_inside_support(self):
-        g = to_ising(random_instance(30, instance_rng(41, 200)))
-        edge = sorted(g.couplings)[0]
-        task = lightcone_support(g, edge, 2)
-        support = set(task.support)
-        expected = {
-            e for e in g.couplings if e[0] in support and e[1] in support
-        }
-        assert set(task.included_edges) == expected
+        for k in range(4):
+            g = to_ising(random_instance(30, instance_rng(41, 200 + k)))
+            for p in (1, 2, 3):
+                for edge in sorted(g.couplings):
+                    task = lightcone_support(g, edge, p)
+                    support = reference_ball(g.couplings, edge, p)
+                    expected = sorted(
+                        e for e in g.couplings if e[0] in support and e[1] in support
+                    )
+                    assert list(task.included_edges) == expected
 
     def test_cap_raises(self):
         g = to_ising(random_instance(200, instance_rng(41, 300)))
@@ -105,6 +108,22 @@ class TestEngines:
 
 
 class TestAgainstFullStatevector:
+    def test_every_coupling_matches_full_state(self):
+        """Each engine's <Z_i Z_j> against the full-graph statevector."""
+        for k in range(8):
+            n = 5 + k
+            g = to_ising(random_instance(n, instance_rng(45, k)))
+            basis = np.arange(1 << n)
+            spins = 1 - 2 * ((basis[:, None] >> np.arange(n)[None, :]) & 1)
+            for p in (1, 2):
+                params = tree_params(p)
+                probs = np.abs(simulate_state(g, params).amplitudes) ** 2
+                for i, j in sorted(g.couplings):
+                    full = float(probs @ (spins[:, i] * spins[:, j]))
+                    for engine in ("auto", "traced", "statevector"):
+                        corr = edge_correlation(g, (i, j), params, engine=engine)
+                        assert corr == pytest.approx(full, abs=1e-12)
+
     def test_whole_graph_expectation(self):
         for k in range(25):
             n = 8 + k % 5

@@ -29,6 +29,7 @@ from paintshop import (
     validate,
     z_expectations,
 )
+from paintshop.qaoa import statevector
 
 # independently recomputed dense references (see module docstring)
 PAIR_WORD = [0, 1, 0, 1]          # single coupling J=-1
@@ -130,6 +131,18 @@ class TestStatevector:
             simulate_state(
                 to_ising(random_instance(12, 0)), tree_params(1), cap_qubits=10
             )
+
+    def test_expectation_builds_the_energy_vector_once(self, monkeypatch):
+        calls = []
+        original = statevector.pair_energy_vector
+
+        def counted(graph, *args):
+            calls.append(graph)
+            return original(graph, *args)
+
+        monkeypatch.setattr(statevector, "pair_energy_vector", counted)
+        expectation(to_ising(random_instance(6, 0)), tree_params(2))
+        assert len(calls) == 1
 
     def test_color_change_vector_brackets_every_assignment(self):
         inst = random_instance(6, instance_rng(31, 12))
