@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,7 +33,7 @@ from .core import (
     read_jsonl,
     write_jsonl,
 )
-from .heuristics import greedy, recursive_greedy, red_first
+from .heuristics import SOLVERS
 from .ising import NonUnitCoupling, NotATree, to_ising
 from .qaoa import (
     DegenerateBaseline,
@@ -50,17 +52,11 @@ class UnknownAlgo(ValueError):
     """Requested solver name is not provided."""
 
 
-ALGOS = ("greedy", "red-first", "recursive-greedy", "brute-force", "random-baseline")
+class FlagNotTaken(ValueError):
+    """An experiment flag was set that the experiment's runner does not take."""
 
-EXPERIMENTS = (
-    "fig2",
-    "table1-p1",
-    "table1-p2",
-    "fig3",
-    "fig6",
-    "coupling-stats",
-    "heuristic-asymptotics",
-)
+
+ALGOS = (*SOLVERS, "brute-force", "random-baseline")
 
 _USAGE_ERRORS = (
     WrongMultiplicity,
@@ -69,6 +65,7 @@ _USAGE_ERRORS = (
     TooLarge,
     UnknownParams,
     UnknownAlgo,
+    FlagNotTaken,
     SupportTooLarge,
     NotATree,
     NonUnitCoupling,
@@ -78,33 +75,46 @@ _USAGE_ERRORS = (
 )
 
 
-def solve_instance(instance, algo: str, *, cap_qubits: int = 24):
-    """Cost of one classical solver; floats only for the analytic baseline."""
-    if algo == "greedy":
-        return color_changes(instance, greedy(instance))
-    if algo == "red-first":
-        return color_changes(instance, red_first(instance))
-    if algo == "recursive-greedy":
-        return color_changes(instance, recursive_greedy(instance))
+def _given(**options) -> dict:
+    """The options that are set; an unset (None) one keeps the library default."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
+def solve_instance(instance, algo: str, *, cap_qubits: int | None = None):
+    """Cost of one classical solver; floats only for the analytic baseline.
+
+    ``cap_qubits`` caps brute-force enumeration; None keeps brute_force_opt's.
+    """
+    if algo in SOLVERS:
+        return color_changes(instance, SOLVERS[algo](instance))
     if algo == "brute-force":
-        return brute_force_opt(instance, cap_cars=cap_qubits).opt_changes
+        return brute_force_opt(instance, **_given(cap_cars=cap_qubits)).opt_changes
     if algo == "random-baseline":
         return random_guess_expectation(instance)
     raise UnknownAlgo(f"unknown algo {algo!r}; choose from {', '.join(ALGOS)}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int, kind=int):
+    """An argparse type: a finite ``kind`` value >= low, else a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be >= {low} and finite, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+#: Experiment flags: the runner keyword each one sets, and its type.  A flag
+#: is passed only when set, so every default comes from the runner.
+_EXPERIMENT_FLAGS = {
+    "--n": ("n", _at_least(1)),
+    "--count": ("count", _at_least(1)),
+    "--seed": ("seed", _at_least(0)),
+    "--p": ("p", int),
+    "--alpha": ("alpha", _at_least(1, float)),
+    "--cap-qubits": ("support_cap", _at_least(1)),
+}
 
 
 def _write_csv(path: Path, fieldnames: list, rows: list) -> None:
@@ -125,116 +135,58 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instances = read_jsonl(args.infile)
+    fields = ["instance_id", "n", "algo", "color_changes", "wall_time_ms"]
     rows = []
     for idx, inst in enumerate(instances):
         start = time.perf_counter()
         dc = solve_instance(inst, args.algo, cap_qubits=args.cap_qubits)
-        elapsed = (time.perf_counter() - start) * 1000
-        rows.append(
-            {
-                "instance_id": idx,
-                "n": inst.n,
-                "algo": args.algo,
-                "color_changes": dc,
-                "wall_time_ms": round(elapsed, 3),
-            }
-        )
-    _write_csv(
-        Path(args.outfile),
-        ["instance_id", "n", "algo", "color_changes", "wall_time_ms"],
-        rows,
-    )
+        elapsed = round((time.perf_counter() - start) * 1000, 3)
+        rows.append(dict(zip(fields, (idx, inst.n, args.algo, dc, elapsed))))
+    _write_csv(Path(args.outfile), fields, rows)
     return 0
 
 
 def _cmd_qaoa(args) -> int:
     instances = read_jsonl(args.infile)
     params = tree_params(args.p)
+    fields = ["instance_id", "n", "p", "method", "mean_energy_adj",
+              "mean_color_changes", "wall_time_ms"]
     rows = []
-    cap = args.cap_qubits or (26 if args.method == "lightcone" else 22)
     for idx, inst in enumerate(instances):
         graph = to_ising(inst)
         start = time.perf_counter()
         if args.shots:
-            state = simulate_state(graph, params, cap_qubits=cap)
+            state = simulate_state(graph, params, **_given(cap_qubits=args.cap_qubits))
             indices = _sample_indices(state, args.shots, instance_rng(args.seed, idx))
             mean_dc = float(color_change_vector(inst)[indices].mean())
             mean_adj = 2 * mean_dc - (2 * inst.n - 1)
         else:
             if args.method == "lightcone":
-                summary = lightcone_expectation(graph, params, support_cap=cap)
+                summary = lightcone_expectation(
+                    graph, params, **_given(support_cap=args.cap_qubits)
+                )
             else:
-                summary = expectation(graph, params, cap_qubits=cap)
+                summary = expectation(graph, params, **_given(cap_qubits=args.cap_qubits))
             mean_adj = summary.mean_adjacency_energy
             mean_dc = summary.mean_color_changes
-        elapsed = (time.perf_counter() - start) * 1000
-        rows.append(
-            {
-                "instance_id": idx,
-                "n": inst.n,
-                "p": args.p,
-                "method": args.method,
-                "mean_energy_adj": mean_adj,
-                "mean_color_changes": mean_dc,
-                "wall_time_ms": round(elapsed, 3),
-            }
-        )
-    _write_csv(
-        Path(args.outfile),
-        [
-            "instance_id",
-            "n",
-            "p",
-            "method",
-            "mean_energy_adj",
-            "mean_color_changes",
-            "wall_time_ms",
-        ],
-        rows,
-    )
+        elapsed = round((time.perf_counter() - start) * 1000, 3)
+        values = (idx, inst.n, args.p, args.method, mean_adj, mean_dc, elapsed)
+        rows.append(dict(zip(fields, values)))
+    _write_csv(Path(args.outfile), fields, rows)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     name = args.name
-    if name == "table1-p1":
-        rows, summary = experiments.run_table1(
-            1,
-            n=args.n or 1000,
-            count=args.count or 20,
-            seed=args.seed,
-            support_cap=args.cap_qubits or 26,
-        )
-    elif name == "table1-p2":
-        rows, summary = experiments.run_table1(
-            2,
-            n=args.n or 300,
-            count=args.count or 10,
-            seed=args.seed,
-            support_cap=args.cap_qubits or 26,
-        )
-    elif name == "fig2":
-        rows, summary = experiments.run_fig2(
-            n=args.n or 16, count=args.count or 100, seed=args.seed
-        )
-    elif name == "fig3":
-        rows, summary = experiments.run_fig3(
-            count=args.count or 300, seed=args.seed
-        )
-    elif name == "fig6":
-        rows, summary = experiments.run_fig6(
-            p=args.p or 1, alpha=args.alpha if args.alpha is not None else 5.0
-        )
-    elif name == "coupling-stats":
-        rows, summary = experiments.run_coupling_stats(
-            n=args.n or 100_000, count=args.count or 100, seed=args.seed
-        )
-    elif name == "heuristic-asymptotics":
-        rows, summary = experiments.run_heuristic_asymptotics(
-            n=args.n or 10_000, count=args.count or 100, seed=args.seed
-        )
-    else:  # unreachable behind argparse choices
-        raise UnknownAlgo(f"unknown experiment {name!r}")
+    runner = experiments.EXPERIMENTS[name]
+    taken = inspect.signature(runner).parameters
+    options = {}
+    for flag, (keyword, _) in _EXPERIMENT_FLAGS.items():
+        if keyword in args:
+            if keyword not in taken:
+                raise FlagNotTaken(f"{name} does not take {flag}")
+            options[keyword] = getattr(args, keyword)
+    rows, summary = runner(**options)
     outdir = Path(args.outfile)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / f"{name}.csv", list(rows[0].keys()), rows)
@@ -254,41 +206,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write random instances as JSON lines")
-    gen.add_argument("--n", type=_positive_int, required=True, help="cars per instance")
-    gen.add_argument("--count", type=_positive_int, default=1)
-    gen.add_argument("--seed", type=_nonnegative_int, default=0)
+    gen.add_argument("--n", type=_at_least(1), required=True, help="cars per instance")
+    gen.add_argument("--count", type=_at_least(1), default=1)
+    gen.add_argument("--seed", type=_at_least(0), default=0)
     gen.add_argument("--out", dest="outfile", required=True)
 
     solve = sub.add_parser("solve", help="run a classical solver over instances")
     solve.add_argument("--algo", choices=ALGOS, required=True)
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out", dest="outfile", required=True)
-    solve.add_argument("--cap-qubits", type=_positive_int, default=24,
-                       help="enumeration cap for brute-force")
+    solve.add_argument("--cap-qubits", type=_at_least(1),
+                       help="enumeration cap for brute-force (default: the oracle's)")
 
     qaoa = sub.add_parser("qaoa", help="circuit expectations over instances")
     qaoa.add_argument("--p", type=int, required=True)
     qaoa.add_argument("--method", choices=("statevector", "lightcone"),
                       default="statevector")
-    qaoa.add_argument("--shots", type=_nonnegative_int, default=0,
+    qaoa.add_argument("--shots", type=_at_least(0), default=0,
                       help="0 for exact expectations, else sampled estimates")
-    qaoa.add_argument("--seed", type=_nonnegative_int, default=0,
+    qaoa.add_argument("--seed", type=_at_least(0), default=0,
                       help="sampling seed")
     qaoa.add_argument("--in", dest="infile", required=True)
     qaoa.add_argument("--out", dest="outfile", required=True)
-    qaoa.add_argument("--cap-qubits", type=_positive_int, default=None,
-                      help="qubit cap (default 22 statevector, 26 lightcone)")
+    qaoa.add_argument("--cap-qubits", type=_at_least(1),
+                      help="qubit cap (default: the chosen method's)")
 
     experiment = sub.add_parser("experiment", help="named benchmark scenario")
-    experiment.add_argument("name", choices=EXPERIMENTS)
+    experiment.add_argument("name", choices=experiments.EXPERIMENTS)
     experiment.add_argument("--out", dest="outfile", required=True,
                             help="output directory")
-    experiment.add_argument("--n", type=_positive_int, default=None)
-    experiment.add_argument("--count", type=_positive_int, default=None)
-    experiment.add_argument("--seed", type=_nonnegative_int, default=None)
-    experiment.add_argument("--p", type=int, default=None)
-    experiment.add_argument("--alpha", type=float, default=None)
-    experiment.add_argument("--cap-qubits", type=_positive_int, default=None)
+    for flag, (keyword, kind) in _EXPERIMENT_FLAGS.items():
+        experiment.add_argument(flag, dest=keyword, type=kind, metavar=flag[2:].upper(),
+                                default=argparse.SUPPRESS)
     return parser
 
 

@@ -96,7 +96,10 @@ def validate(sequence: Sequence[int]) -> BpspInstance:
     for car in seq:
         if isinstance(car, bool) or not isinstance(car, (int, np.integer)):
             raise BadIdentifier(f"car identifiers must be integers, got {car!r}")
-    seq = seq.astype(np.int64)
+    try:
+        seq = seq.astype(np.int64)
+    except OverflowError:
+        raise BadIdentifier(f"car identifier {max(seq, key=abs)} exceeds 64 bits") from None
     ids, counts = np.unique(seq, return_counts=True)
     bad = ids[counts != 2]
     if bad.size:
@@ -229,28 +232,31 @@ def read_jsonl(path: str | Path) -> list[BpspInstance]:
     """Read instances from JSON lines of {"n": ..., "sequence": [...]}."""
     instances = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise BadRecord(
-                    f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
-                )
-            for key in ("n", "sequence"):
-                if key not in obj:
-                    raise BadRecord(f"line {lineno}: missing key {key!r}")
-            try:
-                inst = validate(obj["sequence"])
-            except (WrongMultiplicity, BadIdentifier) as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-            if inst.n != obj["n"]:
-                raise WrongMultiplicity(
-                    f"line {lineno}: declared n={obj['n']} "
-                    f"but sequence has {inst.n} cars"
-                )
-            instances.append(inst)
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise BadRecord(
+                        f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
+                    )
+                for key in ("n", "sequence"):
+                    if key not in obj:
+                        raise BadRecord(f"line {lineno}: missing key {key!r}")
+                try:
+                    inst = validate(obj["sequence"])
+                except (WrongMultiplicity, BadIdentifier) as exc:
+                    raise type(exc)(f"line {lineno}: {exc}") from None
+                if inst.n != obj["n"]:
+                    raise WrongMultiplicity(
+                        f"line {lineno}: declared n={obj['n']} "
+                        f"but sequence has {inst.n} cars"
+                    )
+                instances.append(inst)
+        except UnicodeDecodeError as exc:
+            raise BadRecord(f"not UTF-8 text: {exc.reason}") from None
     return instances
 
 

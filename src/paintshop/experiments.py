@@ -7,6 +7,8 @@ row i does not depend on how many rows were requested.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .core import (
@@ -15,7 +17,7 @@ from .core import (
     instance_rng,
     random_instance,
 )
-from .heuristics import greedy, recursive_greedy, red_first
+from .heuristics import SOLVERS, greedy
 from .ising import coupling_stats, to_ising
 from .qaoa import (
     expectation,
@@ -44,8 +46,8 @@ def _instances(n: int, count: int, seed: int):
 
 def run_table1(
     p: int,
-    n: int = 1000,
-    count: int = 20,
+    n: int | None = None,
+    count: int | None = None,
     seed: int | None = None,
     *,
     support_cap: int = 26,
@@ -55,7 +57,11 @@ def run_table1(
     if seed is None:
         seed = DEFAULT_SEEDS.get(name, 100 + p)
     params = tree_params(p)
-    windows = {1: (0.665, 0.685), 2: (0.548, 0.588)}
+    # Per depth: default n and count (a depth-2 word costs far more), window.
+    table = {1: (1000, 20, (0.665, 0.685)), 2: (300, 10, (0.548, 0.588))}
+    default_n, default_count, window = table.get(p, (1000, 20, None))
+    n = default_n if n is None else n
+    count = default_count if count is None else count
     rows = []
     total = 0.0
     for idx, inst in _instances(n, count, seed):
@@ -72,7 +78,6 @@ def run_table1(
             }
         )
     mean_ratio = total / count
-    window = windows.get(p)
     summary = {
         "experiment": name,
         "n": n,
@@ -134,22 +139,17 @@ def run_heuristic_asymptotics(
     if seed is None:
         seed = DEFAULT_SEEDS["heuristic-asymptotics"]
     targets = {"greedy": 0.5, "red-first": 2 / 3, "recursive-greedy": 0.4}
-    solvers = {
-        "greedy": greedy,
-        "red-first": red_first,
-        "recursive-greedy": recursive_greedy,
-    }
     rows = []
-    totals = {algo: 0 for algo in solvers}
+    totals = {algo: 0 for algo in SOLVERS}
     for idx, inst in _instances(n, count, seed):
-        for algo, solver in solvers.items():
+        for algo, solver in SOLVERS.items():
             dc = color_changes(inst, solver(inst))
             totals[algo] += dc
             rows.append(
                 {"instance_id": idx, "n": n, "algo": algo, "color_changes": dc}
             )
-    means = {algo: totals[algo] / (count * n) for algo in solvers}
-    deviations = {algo: abs(means[algo] - targets[algo]) for algo in solvers}
+    means = {algo: totals[algo] / (count * n) for algo in SOLVERS}
+    deviations = {algo: abs(means[algo] - targets[algo]) for algo in SOLVERS}
     summary = {
         "experiment": "heuristic-asymptotics",
         "n": n,
@@ -287,3 +287,15 @@ def run_fig3(
     }
     return rows, summary
 
+
+#: Every named experiment and its runner, in the order the docs list them.
+#: A runner's keyword parameters decide which CLI flags the experiment takes.
+EXPERIMENTS = {
+    "table1-p1": partial(run_table1, 1),
+    "table1-p2": partial(run_table1, 2),
+    "fig2": run_fig2,
+    "fig3": run_fig3,
+    "fig6": run_fig6,
+    "coupling-stats": run_coupling_stats,
+    "heuristic-asymptotics": run_heuristic_asymptotics,
+}

@@ -115,6 +115,10 @@ def recursive_greedy(instance: BpspInstance) -> Coloring:
     return Coloring(fc)
 
 
+#: The sequential heuristics by name; the single source of their CLI names.
+SOLVERS = {"greedy": greedy, "red-first": red_first, "recursive-greedy": recursive_greedy}
+
+
 def greedy_subsystem(instance: BpspInstance) -> CouplingGraph:
     """The n-1 coupling acyclic subsystem solved exactly by ``greedy``.
 

@@ -1,10 +1,34 @@
 """Command line surface: determinism, column layout, exit codes."""
+import csv
+import io
 import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from paintshop import experiments, validate
 from paintshop.cli import main, solve_instance, UnknownAlgo
-from paintshop import validate
+from paintshop.experiments import EXPERIMENTS
+from paintshop.heuristics import SOLVERS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: The flags each experiment takes, as the README's experiment table lists them.
+ACCEPTED = {
+    "table1-p1": {"--n", "--count", "--seed", "--cap-qubits"},
+    "table1-p2": {"--n", "--count", "--seed", "--cap-qubits"},
+    "fig2": {"--n", "--count", "--seed"},
+    "fig3": {"--count", "--seed", "--p"},
+    "fig6": {"--p", "--alpha"},
+    "coupling-stats": {"--n", "--count", "--seed"},
+    "heuristic-asymptotics": {"--n", "--count", "--seed"},
+}
+FLAG_VALUES = {"--n": "99", "--count": "1", "--seed": "1", "--p": "1",
+               "--alpha": "3", "--cap-qubits": "2"}
+REJECTED = [(name, flag) for name, taken in ACCEPTED.items()
+            for flag in FLAG_VALUES if flag not in taken]
 
 
 def run_cli(*args):
@@ -98,6 +122,25 @@ class TestSolve:
                        "--out", str(tmp_path / "x.csv")) == 2
         assert capsys.readouterr().err.splitlines() == [message]
 
+    def test_non_utf8_input_is_a_one_line_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"n":1,"sequence":[0,0]}\n'.encode("utf-16-le"))
+        assert run_cli("solve", "--algo", "greedy", "--in", str(path),
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: not UTF-8 text: invalid start byte"
+        ]
+
+    def test_identifier_beyond_64_bits_is_a_one_line_usage_error(self, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "big.jsonl"
+        path.write_text('{"n":1,"sequence":[%d,%d]}\n' % (10**23, 10**23))
+        assert run_cli("solve", "--algo", "greedy", "--in", str(path),
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line 1: car identifier {10**23} exceeds 64 bits"
+        ]
+
     def test_missing_input_file(self, tmp_path):
         assert run_cli("solve", "--algo", "greedy",
                        "--in", str(tmp_path / "nope.jsonl"),
@@ -188,6 +231,9 @@ class TestExperiment:
         ("--cap-qubits", "0"),
         ("--cap-qubits", "-3"),
         ("--seed", "-1"),
+        ("--alpha", "nan"),
+        ("--alpha", "inf"),
+        ("--alpha", "0.5"),
     ])
     def test_out_of_range_flag_is_a_usage_error(self, tmp_path, capsys,
                                                 flag, value):
@@ -197,3 +243,58 @@ class TestExperiment:
 
     def test_unknown_name_rejected_by_parser(self, tmp_path):
         assert run_cli("experiment", "fig9", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("name, flag", REJECTED)
+    def test_flag_the_runner_does_not_take_is_a_usage_error(self, tmp_path, capsys,
+                                                            name, flag):
+        out = tmp_path / "x"
+        assert run_cli("experiment", name, flag, FLAG_VALUES[flag],
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {name} does not take {flag}"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_table1_p2_defaults_to_n300_count10(self, monkeypatch):
+        seen = []
+
+        def fake_lightcone(graph, params, support_cap):
+            seen.append(graph.n)
+            return SimpleNamespace(mean_adjacency_energy=0.0, mean_color_changes=0.0)
+
+        monkeypatch.setattr(experiments, "lightcone_expectation", fake_lightcone)
+        rows, summary = experiments.run_table1(2)
+        assert (summary["n"], summary["count"]) == (300, 10)
+        assert seen == [300] * 10 and len(rows) == 10
+
+    def test_cli_writes_the_runner_result(self, tmp_path):
+        name = "heuristic-asymptotics"
+        out = tmp_path / "cli"
+        assert run_cli("experiment", name, "--n", "500", "--count", "4",
+                       "--out", str(out)) in (0, 1)
+        rows, summary = EXPERIMENTS[name](n=500, count=4)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert (out / f"{name}.csv").read_bytes() == buf.getvalue().encode()
+        expected = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        assert (out / f"{name}-summary.json").read_bytes() == expected.encode()
+
+
+class TestReadme:
+    """The README's algorithm list and experiment table follow the registries."""
+
+    def test_algorithm_list_matches_solvers(self):
+        text = README.read_text(encoding="utf-8")
+        paragraph = re.search(r"^Algorithms: (.*?)\n\n", text, re.M | re.S).group(1)
+        names = re.findall(r"`([a-z-]+)`", paragraph)
+        assert tuple(names) == (*SOLVERS, "brute-force", "random-baseline")
+
+    def test_experiment_table_matches_registry(self):
+        text = README.read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([a-z0-9-]+)` *\| ([^|]*)\|", text, re.M)
+        assert [name for name, _ in rows] == list(EXPERIMENTS)
+        assert list(ACCEPTED) == list(EXPERIMENTS)
+        for name, flags in rows:
+            assert set(re.findall(r"--[a-z-]+", flags)) == ACCEPTED[name], name

@@ -87,6 +87,11 @@ class TestValidate:
             with pytest.raises(BadIdentifier):
                 validate(word)
 
+    def test_rejects_identifiers_beyond_64_bits(self):
+        for word in ([10**23, 10**23], [0, 2**63, 0, 2**63], [-(2**64), -(2**64)]):
+            with pytest.raises(BadIdentifier, match="exceeds 64 bits"):
+                validate(word)
+
     def test_accepts_numpy_integers(self):
         inst = validate(np.array([1, 0, 1, 0], dtype=np.int32))
         assert inst.sequence.dtype == np.int64
@@ -239,6 +244,8 @@ class TestJsonl:
             ('{"n":2,"sequence":[0,1,1,0.5]}', BadIdentifier, "line 2: "),
             ('{"n":2,"sequence":[0,1,1]}', WrongMultiplicity, "line 2: "),
             ('{"n":3,"sequence":[0,1,1,0]}', WrongMultiplicity, "line 2: declared n=3"),
+            ('{"n":1,"sequence":[100000000000000000000000,100000000000000000000000]}',
+             BadIdentifier, "line 2: car identifier 100000000000000000000000 exceeds"),
         ],
     )
     def test_malformed_lines_name_the_line(self, tmp_path, bad_line, error, text):
@@ -247,3 +254,9 @@ class TestJsonl:
         with pytest.raises(error) as info:
             read_jsonl(path)
         assert str(info.value).startswith(text)
+
+    def test_non_utf8_file_is_a_bad_record(self, tmp_path):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"n":1,"sequence":[0,0]}\n'.encode("utf-16-le"))
+        with pytest.raises(BadRecord, match="not UTF-8 text"):
+            read_jsonl(path)
