@@ -34,7 +34,7 @@ from .core import (
     write_jsonl,
 )
 from .heuristics import SOLVERS
-from .ising import NonUnitCoupling, NotATree, to_ising
+from .ising import NoCouplings, NonUnitCoupling, NotATree, to_ising
 from .qaoa import (
     DegenerateBaseline,
     SupportTooLarge,
@@ -69,6 +69,7 @@ _USAGE_ERRORS = (
     SupportTooLarge,
     NotATree,
     NonUnitCoupling,
+    NoCouplings,
     DegenerateBaseline,
     OSError,
     json.JSONDecodeError,

@@ -245,6 +245,9 @@ def read_jsonl(path: str | Path) -> list[BpspInstance]:
                 for key in ("n", "sequence"):
                     if key not in obj:
                         raise BadRecord(f"line {lineno}: missing key {key!r}")
+                if type(obj["n"]) is not int:  # also rejects true: bool subclasses int
+                    got = json.dumps(obj["n"])
+                    raise BadRecord(f'line {lineno}: "n" must be an integer, got {got}')
                 try:
                     inst = validate(obj["sequence"])
                 except (WrongMultiplicity, BadIdentifier) as exc:

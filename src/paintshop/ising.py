@@ -37,6 +37,10 @@ class NonUnitCoupling(ValueError):
     """Gauge fixing requires all couplings in {-1, +1}."""
 
 
+class NoCouplings(ValueError):
+    """The given instances merge to no coupling at all."""
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
     """Merged pair couplings (keys (i, j) with i < j) plus an additive constant."""
@@ -160,7 +164,7 @@ def coupling_stats(instances: Iterable[BpspInstance]) -> CouplingStats:
         qubit_count += inst.n
     pair_count = sum(hist.values())
     if pair_count == 0:
-        raise ValueError("no couplings in the given instances")
+        raise NoCouplings("no couplings in the given instances")
     return CouplingStats(
         histogram=dict(sorted(hist.items())),
         pair_count=pair_count,

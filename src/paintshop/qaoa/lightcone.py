@@ -15,13 +15,15 @@ Two exact evaluation engines sit behind the contract:
 
 * ``statevector``: the dense simulator, ``simulate_state``, run on the
   support relabelled to 0..k-1.
-* ``traced``: boundary qubits interact only through first-level phase
-  gates, so tracing them out turns the initial projector on the kept ball
-  into entrywise cosine damping factors; the remaining levels evolve a
-  density matrix on that smaller ball.  Algebraically identical to the
-  statevector result, and exponentially cheaper whenever the support is
-  dominated by its boundary (the generic case on the near-4-regular graphs
-  of large random words).
+* ``traced``: a density matrix on the kept ball, shrunk level by level.
+  Z_i Z_j conjugated back through levels p..l+1 acts on the qubits within
+  distance p - l, so a level-l mixer farther out commutes with it and
+  cancels: a qubit at distance d meets its last mixer at level p - d.
+  Past it, only diagonal phases touch the qubit and only its diagonal is
+  ever read, so its row and column axes merge, halving the tensor.
+  Boundary qubits, never mixed, become cosine damping factors.  Exact, and
+  exponentially cheaper whenever the boundary dominates the support (the
+  generic case on the near-4-regular graphs of large random words).
 
 The automatic choice takes the engine with the smaller state: 4^|kept|
 versus 2^|support|.
@@ -35,7 +37,7 @@ import numpy as np
 from ..core import random_instance
 from ..ising import CouplingGraph, to_ising
 from .params import PHASE_SCALE, PHASE_SCALE_UNHALVED, QaoaParams, tree_params
-from .statevector import EnergySummary, _apply_1q, _x_rotation, simulate_state
+from .statevector import EnergySummary, simulate_state
 
 
 class SupportTooLarge(ValueError):
@@ -96,65 +98,67 @@ def _corr_statevector(adjacency, edge, support, params, phase_scale) -> float:
     return float(probs @ spins)
 
 
-def _corr_traced(adjacency, edge, kept, params, phase_scale) -> float:
-    """<Z_i Z_j> from a density matrix on the sorted kept ball ``kept``.
+def _corr_traced(adjacency, dist, params, phase_scale) -> float:
+    """<Z_i Z_j> from a density matrix on the kept ball, shrunk level by level.
 
-    Boundary qubits (distance exactly p) carry only first-level phase gates,
-    so averaging over their computational basis turns each into the factor
-    cos(phi_v(z) - phi_v(w)) on the density matrix entry (z, w), with
-    phi_v(z) = gamma_1 * sum over kept neighbors u of theta_uv * s_u(z).
+    At its last mixer R a qubit's row and column axes contract into one,
+    K[a, b, c] = R[a, b] conj(R[a, c]); a level later it is summed out.
+    Boundary qubits v, summed out after the first phase, damp entry (z, w) by
+    cos(phi_v(z) - phi_v(w)), phi_v = gamma_1 * sum of J_uv s_u over kept
+    neighbours u: for a lone u, cos(2 gamma_1 J_uv) where u's bits differ.
     """
-    i, j = edge
-    index = {q: t for t, q in enumerate(kept)}
-    k = len(kept)
-    basis = np.arange(1 << k, dtype=np.int64)
-    spin = {q: (1 - 2 * ((basis >> index[q]) & 1)).astype(np.float64) for q in kept}
+    p = params.p
+    # Farthest first: those are contracted first, while the tensor is largest.
+    kept = sorted((q for q in dist if dist[q] < p), key=lambda q: (-dist[q], q))
+    axes = [(q, 0) for q in kept]  # (q, 0): row or diagonal axis, (q, 1): column
+    signs = np.array([1.0, -1.0])
 
-    # ``kept`` is sorted, so u < v picks each interior coupling at its first visit.
-    interior = []
-    boundary: dict = {}
+    def spin(q, side=0):
+        pos = axes.index((q, side) if (q, side) in axes else (q, 0))
+        return signs.reshape([2 if t == pos else 1 for t in range(len(axes))])
+
+    gamma1 = params.angles[0][0] * phase_scale
+    angle, fringe = np.zeros((2,) * len(kept)), {}
     for u in kept:
         for v, val in adjacency[u]:
-            if v not in index:
-                boundary.setdefault(v, []).append((u, val))
+            if dist[v] == p:
+                fringe.setdefault(v, []).append((u, val))
             elif u < v:
-                interior.append((u, v, val))
-
-    def phase_vector(gamma: float) -> np.ndarray:
-        phi = np.zeros(1 << k)
-        for u, v, val in interior:
-            phi += (gamma * phase_scale * val) * spin[u] * spin[v]
-        return phi
-
-    gamma1, beta1 = params.angles[0]
-    damp = np.ones((1 << k, 1 << k))
-    for v in sorted(boundary):
-        phi_v = np.zeros(1 << k)
-        for u, val in boundary[v]:
-            phi_v += (gamma1 * phase_scale * val) * spin[u]
-        damp *= np.cos(phi_v[:, None] - phi_v[None, :])
-    amp = np.exp(-1j * phase_vector(gamma1))
-    rho = (amp[:, None] * amp.conj()[None, :]) * damp
-    rho /= 1 << k
-
-    def mix(beta: float) -> None:
-        flat = rho.reshape(-1)
-        # Row index bits live at k..2k-1, column bits at 0..k-1; the column
-        # side takes the conjugated rotation.
-        row, col = _x_rotation(beta), _x_rotation(-beta)
-        for t in range(k):
-            _apply_1q(flat, row, k + t)
-        for t in range(k):
-            _apply_1q(flat, col, t)
-
-    mix(beta1)
-    for gamma, beta in params.angles[1:]:
-        amp = np.exp(-1j * phase_vector(gamma))
-        rho *= amp[:, None]
-        rho *= amp.conj()[None, :]
-        mix(beta)
-    zz = spin[i] * spin[j]
-    return float(np.real(np.einsum("zz,z->", rho, zz)))
+                angle = angle + (gamma1 * val) * spin(u) * spin(v)
+    rho = np.multiply.outer(np.exp(-1j * angle), np.exp(1j * angle))
+    axes += [(q, 1) for q in kept]
+    damp = dict.fromkeys(kept, 1.0)
+    for nbrs in fringe.values():
+        if len(nbrs) == 1:
+            damp[nbrs[0][0]] *= np.cos(2 * gamma1 * nbrs[0][1])
+        else:
+            rho *= np.cos(sum(gamma1 * val * (spin(u) - spin(u, 1)) for u, val in nbrs))
+    for t, (gamma, beta) in enumerate(params.angles, start=1):
+        last = p - t  # distance of the qubits mixed for the last time
+        if t > 1:
+            # Between two diagonal qubits a phase cancels.
+            rho = rho * np.exp(-1j * sum(
+                (gamma * phase_scale * val) * (spin(u) * spin(v) - spin(u, 1) * spin(v, 1))
+                for u in kept if dist[u] <= last
+                for v, val in adjacency[u] if dist[v] > last or u < v
+            ))
+            done = [x for x in axes if dist[x[0]] == last + 1]
+            rho = rho.sum(axis=tuple(axes.index(x) for x in done))
+            axes = [x for x in axes if x not in done]
+        c, s = np.cos(beta), np.sin(beta)
+        for q in kept:
+            if dist[q] == last:
+                pos = axes.index((q, 0)), axes.index((q, 1))
+                (r00, r01), (r10, r11) = np.moveaxis(rho, pos, (0, 1))
+                h = c * c * (r00 - r11) + (1j * c * s * damp[q]) * (r01 - r10)
+                rho = np.stack([r11 + h, r00 - h])
+                axes = [(q, 0)] + [x for x in axes if x[0] != q]
+            elif dist[q] < last:
+                for x, r in (((q, 0), -1j * s), ((q, 1), 1j * s)):
+                    r0, r1 = np.moveaxis(rho, axes.index(x), 0)
+                    rho = np.stack([c * r0 + r * r1, r * r0 + c * r1])
+                    axes = [x] + [y for y in axes if y != x]
+    return float(np.real(signs @ rho @ signs)) / (1 << len(kept))
 
 
 def edge_correlation(
@@ -176,11 +180,11 @@ def edge_correlation(
         raise SupportTooLarge(
             f"support of {edge} has {size} qubits, cap is {support_cap}"
         )
-    kept = sorted(q for q, d in dist.items() if d < p)
     if engine == "auto":
-        engine = "traced" if 2 * len(kept) < size else "statevector"
+        kept = sum(d < p for d in dist.values())
+        engine = "traced" if 2 * kept < size else "statevector"
     if engine == "traced":
-        return _corr_traced(adjacency, edge, kept, params, phase_scale)
+        return _corr_traced(adjacency, dist, params, phase_scale)
     if engine == "statevector":
         return _corr_statevector(adjacency, edge, dist, params, phase_scale)
     raise ValueError(f"unknown engine {engine!r}")

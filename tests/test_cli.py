@@ -111,6 +111,8 @@ class TestSolve:
     @pytest.mark.parametrize("line, message", [
         ("[1,2]", "error: line 2: expected a JSON object, got list"),
         ('{"sequence":[0,0]}', "error: line 2: missing key 'n'"),
+        ('{"n":true,"sequence":[0,0]}', 'error: line 2: "n" must be an integer, got true'),
+        ('{"n":1.0,"sequence":[0,0]}', 'error: line 2: "n" must be an integer, got 1.0'),
         ('{"n":1,"sequence":[0.5,0.5]}',
          "error: line 2: car identifiers must be integers, got 0.5"),
     ])
@@ -240,6 +242,14 @@ class TestExperiment:
         assert run_cli("experiment", "table1-p1", "--n", "20", "--count", "1",
                        flag, value, "--out", str(tmp_path / "x")) == 2
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    def test_no_couplings_is_a_one_line_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("experiment", "coupling-stats", "--n", "1",
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: no couplings in the given instances"]
+        assert not out.exists()
 
     def test_unknown_name_rejected_by_parser(self, tmp_path):
         assert run_cli("experiment", "fig9", "--out", str(tmp_path / "x")) == 2

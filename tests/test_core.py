@@ -241,6 +241,12 @@ class TestJsonl:
             ("[1,2]", BadRecord, "line 2: expected a JSON object, got list"),
             ('{"sequence":[0,0]}', BadRecord, "line 2: missing key 'n'"),
             ('{"n":1}', BadRecord, "line 2: missing key 'sequence'"),
+            ('{"n":true,"sequence":[0,0]}', BadRecord,
+             'line 2: "n" must be an integer, got true'),
+            ('{"n":1.0,"sequence":[0,0]}', BadRecord,
+             'line 2: "n" must be an integer, got 1.0'),
+            ('{"n":"1","sequence":[0,0]}', BadRecord,
+             'line 2: "n" must be an integer, got "1"'),
             ('{"n":2,"sequence":[0,1,1,0.5]}', BadIdentifier, "line 2: "),
             ('{"n":2,"sequence":[0,1,1]}', WrongMultiplicity, "line 2: "),
             ('{"n":3,"sequence":[0,1,1,0]}', WrongMultiplicity, "line 2: declared n=3"),

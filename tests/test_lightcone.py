@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paintshop import (
     CouplingGraph,
@@ -22,6 +24,25 @@ from paintshop import (
     tree_params,
 )
 from paintshop.qaoa.params import PHASE_SCALE
+
+
+def full_correlations(graph, params):
+    """<Z_i Z_j> of every coupling from the full-graph statevector."""
+    probs = np.abs(simulate_state(graph, params).amplitudes) ** 2
+    basis = np.arange(1 << graph.n)
+    spins = 1 - 2 * ((basis[:, None] >> np.arange(graph.n)[None, :]) & 1)
+    return {(i, j): float(probs @ (spins[:, i] * spins[:, j]))
+            for i, j in graph.couplings}
+
+
+#: Around the coupling (0, 1): the triangle 0-1-2; qubits 5 (two neighbours
+#: at distance 1) and 6 (two at distance 2) are boundary qubits with two kept
+#: neighbours at p = 2 and p = 3, and 2 is one at p = 1; 8 and 9 hang off
+#: singly.  Couplings of both signs, with |J| = 1 and 2.
+HAND_BUILT = CouplingGraph(n=10, couplings={
+    (0, 1): 2, (0, 2): -1, (1, 2): 1, (0, 3): -2, (1, 4): 1, (3, 5): -1,
+    (4, 5): 2, (2, 7): -1, (5, 6): 1, (6, 7): -2, (3, 8): 1, (8, 9): -1,
+}, constant=0)
 
 
 def reference_ball(couplings, edge, radius):
@@ -113,16 +134,36 @@ class TestAgainstFullStatevector:
         for k in range(8):
             n = 5 + k
             g = to_ising(random_instance(n, instance_rng(45, k)))
-            basis = np.arange(1 << n)
-            spins = 1 - 2 * ((basis[:, None] >> np.arange(n)[None, :]) & 1)
-            for p in (1, 2):
+            for p in (1, 2, 3) if n <= 10 else (1, 2):
                 params = tree_params(p)
-                probs = np.abs(simulate_state(g, params).amplitudes) ** 2
-                for i, j in sorted(g.couplings):
-                    full = float(probs @ (spins[:, i] * spins[:, j]))
+                full = full_correlations(g, params)
+                for edge in sorted(g.couplings):
                     for engine in ("auto", "traced", "statevector"):
-                        corr = edge_correlation(g, (i, j), params, engine=engine)
-                        assert corr == pytest.approx(full, abs=1e-12)
+                        corr = edge_correlation(g, edge, params, engine=engine)
+                        assert corr == pytest.approx(full[edge], abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_hand_built_loops_and_double_couplings(self, p):
+        params = tree_params(p)
+        full = full_correlations(HAND_BUILT, params)
+        for edge in sorted(HAND_BUILT.couplings):
+            for engine in ("auto", "traced"):
+                corr = edge_correlation(HAND_BUILT, edge, params, engine=engine)
+                assert corr == pytest.approx(full[edge], abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 9), p=st.integers(1, 3))
+    def test_traced_matches_full_state_on_random_graphs(self, data, n, p):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        couplings = {e: data.draw(st.sampled_from([-2, -1, 1, 2])) for e in chosen}
+        angle = st.floats(-np.pi, np.pi, allow_nan=False)
+        params = QaoaParams(tuple((data.draw(angle), data.draw(angle)) for _ in range(p)))
+        g = CouplingGraph(n=n, couplings=couplings, constant=0)
+        full = full_correlations(g, params)
+        for edge in sorted(couplings):
+            corr = edge_correlation(g, edge, params, engine="traced")
+            assert corr == pytest.approx(full[edge], abs=1e-12)
 
     def test_whole_graph_expectation(self):
         for k in range(25):
