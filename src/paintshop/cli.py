@@ -72,7 +72,6 @@ _USAGE_ERRORS = (
     NoCouplings,
     DegenerateBaseline,
     OSError,
-    json.JSONDecodeError,
 )
 
 

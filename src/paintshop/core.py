@@ -198,13 +198,14 @@ def brute_force_opt(instance: BpspInstance, cap_cars: int = 24) -> OracleResult:
     degeneracy doubles the count of minimizers, so it is always even.
     """
     n = instance.n
-    if n > cap_cars:
-        raise TooLarge(f"brute force capped at {cap_cars} cars, got {n}")
+    cap = min(cap_cars, 32)  # the uint32 enumeration index holds 31 free cars
+    if n > cap:
+        raise TooLarge(f"brute force capped at {cap} cars, got {n}")
     seq = instance.sequence
     occ = instance.occurrence
     pinned = int(seq[0])
     # Bit position per car within the enumeration index; the pinned car reads
-    # bit 31, which is always zero for indices below 2^(n-1) <= 2^23.
+    # bit 31, which is always zero for indices below 2^(n-1) <= 2^31.
     bitpos = np.empty(n, dtype=np.int64)
     cars = np.arange(n)
     bitpos[cars] = cars - (cars > pinned)
@@ -237,7 +238,14 @@ def read_jsonl(path: str | Path) -> list[BpspInstance]:
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise BadRecord(
+                        f"line {lineno}: {exc.msg} at column {exc.colno}"
+                    ) from None
+                except (ValueError, RecursionError) as exc:  # too long an int, too deep
+                    raise BadRecord(f"line {lineno}: {exc}") from None
                 if not isinstance(obj, dict):
                     raise BadRecord(
                         f"line {lineno}: expected a JSON object, got {type(obj).__name__}"

@@ -82,9 +82,7 @@ def rz(qubit: int, theta: float) -> NativeGate:
     return NativeGate(kind="rz", qubits=(qubit,), angles=(theta,))
 
 
-def compile_qaoa(
-    graph: CouplingGraph, params: QaoaParams, *, phase_scale: float = PHASE_SCALE
-) -> NativeCircuit:
+def compile_qaoa(graph: CouplingGraph, params: QaoaParams) -> NativeCircuit:
     """Native-gate realization of the p-level circuit on |0...0>.
 
     Equivalent to the reference simulator's unitary applied to |+...+>, up
@@ -95,9 +93,9 @@ def compile_qaoa(
     gates: list[NativeGate] = []
 
     def phase_layer(gamma: float) -> None:
-        # exp(-i gamma * phase_scale * J * XX) = R_XX(2 gamma * phase_scale * J)
+        # exp(-i gamma * PHASE_SCALE * J * XX) = R_XX(2 gamma * PHASE_SCALE * J)
         for a, b in pairs:
-            gates.append(rxx(a, b, 2 * gamma * phase_scale * graph.couplings[(a, b)]))
+            gates.append(rxx(a, b, 2 * gamma * PHASE_SCALE * graph.couplings[(a, b)]))
 
     angles = params.angles
     phase_layer(angles[0][0])

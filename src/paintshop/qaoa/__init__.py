@@ -1,16 +1,13 @@
 """QAOA simulation: fixed schedules, dense statevectors, lightcone engines."""
 from .lightcone import (
-    CalibrationReport,
     LightconeTask,
     SupportTooLarge,
-    calibrate_phase_convention,
     edge_correlation,
     lightcone_expectation,
     lightcone_support,
 )
 from .params import (
     PHASE_SCALE,
-    PHASE_SCALE_UNHALVED,
     QaoaParams,
     UnknownParams,
     tree_params,
@@ -30,17 +27,14 @@ from .statevector import (
 )
 
 __all__ = [
-    "CalibrationReport",
     "DegenerateBaseline",
     "EnergySummary",
     "LightconeTask",
     "PHASE_SCALE",
-    "PHASE_SCALE_UNHALVED",
     "QaoaParams",
     "Statevector",
     "SupportTooLarge",
     "UnknownParams",
-    "calibrate_phase_convention",
     "color_change_vector",
     "delta_c_metric",
     "edge_correlation",

@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import random_instance
-from ..ising import CouplingGraph, to_ising
-from .params import PHASE_SCALE, PHASE_SCALE_UNHALVED, QaoaParams, tree_params
+from ..ising import CouplingGraph
+from .params import PHASE_SCALE, QaoaParams
 from .statevector import EnergySummary, simulate_state
 
 
@@ -83,14 +82,14 @@ def lightcone_support(graph: CouplingGraph, edge: tuple, p: int) -> LightconeTas
     return LightconeTask(tuple(edge), frozenset(support), included)
 
 
-def _corr_statevector(adjacency, edge, support, params, phase_scale) -> float:
+def _corr_statevector(adjacency, edge, support, params) -> float:
     """<Z_i Z_j> from the dense simulator on the support."""
     index = {q: t for t, q in enumerate(sorted(support))}
     k = len(index)
     included = _included_edges(adjacency, index)
     local = {(index[a], index[b]): val for (a, b), val in included.items()}
     graph = CouplingGraph(n=k, couplings=local, constant=0)
-    state = simulate_state(graph, params, phase_scale=phase_scale, cap_qubits=k)
+    state = simulate_state(graph, params, cap_qubits=k)
     probs = np.abs(state.amplitudes) ** 2
     basis = np.arange(1 << k, dtype=np.int64)
     i, j = edge
@@ -98,7 +97,7 @@ def _corr_statevector(adjacency, edge, support, params, phase_scale) -> float:
     return float(probs @ spins)
 
 
-def _corr_traced(adjacency, dist, params, phase_scale) -> float:
+def _corr_traced(adjacency, dist, params) -> float:
     """<Z_i Z_j> from a density matrix on the kept ball, shrunk level by level.
 
     At its last mixer R a qubit's row and column axes contract into one,
@@ -117,7 +116,7 @@ def _corr_traced(adjacency, dist, params, phase_scale) -> float:
         pos = axes.index((q, side) if (q, side) in axes else (q, 0))
         return signs.reshape([2 if t == pos else 1 for t in range(len(axes))])
 
-    gamma1 = params.angles[0][0] * phase_scale
+    gamma1 = params.angles[0][0] * PHASE_SCALE
     angle, fringe = np.zeros((2,) * len(kept)), {}
     for u in kept:
         for v, val in adjacency[u]:
@@ -138,7 +137,7 @@ def _corr_traced(adjacency, dist, params, phase_scale) -> float:
         if t > 1:
             # Between two diagonal qubits a phase cancels.
             rho = rho * np.exp(-1j * sum(
-                (gamma * phase_scale * val) * (spin(u) * spin(v) - spin(u, 1) * spin(v, 1))
+                (gamma * PHASE_SCALE * val) * (spin(u) * spin(v) - spin(u, 1) * spin(v, 1))
                 for u in kept if dist[u] <= last
                 for v, val in adjacency[u] if dist[v] > last or u < v
             ))
@@ -166,7 +165,6 @@ def edge_correlation(
     edge: tuple,
     params: QaoaParams,
     *,
-    phase_scale: float = PHASE_SCALE,
     support_cap: int = 26,
     engine: str = "auto",
     _adjacency=None,
@@ -184,9 +182,9 @@ def edge_correlation(
         kept = sum(d < p for d in dist.values())
         engine = "traced" if 2 * kept < size else "statevector"
     if engine == "traced":
-        return _corr_traced(adjacency, dist, params, phase_scale)
+        return _corr_traced(adjacency, dist, params)
     if engine == "statevector":
-        return _corr_statevector(adjacency, edge, dist, params, phase_scale)
+        return _corr_statevector(adjacency, edge, dist, params)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -194,9 +192,7 @@ def lightcone_expectation(
     graph: CouplingGraph,
     params: QaoaParams,
     *,
-    phase_scale: float = PHASE_SCALE,
     support_cap: int = 26,
-    engine: str = "auto",
 ) -> EnergySummary:
     """Exact circuit expectations assembled coupling by coupling.
 
@@ -210,52 +206,11 @@ def lightcone_expectation(
             graph,
             (a, b),
             params,
-            phase_scale=phase_scale,
             support_cap=support_cap,
-            engine=engine,
             _adjacency=adjacency,
         )
         mean_adj += graph.couplings[(a, b)] * corr
     return EnergySummary(
         mean_adjacency_energy=mean_adj,
         mean_color_changes=(mean_adj + 2 * graph.n - 1) / 2,
-    )
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    mean_dc_per_car_halved: float
-    mean_dc_per_car_unhalved: float
-    chosen_scale: float
-
-
-def calibrate_phase_convention(
-    n: int = 1000, count: int = 20, seed: int = 2718
-) -> CalibrationReport:
-    """One-time selection of the phase convention.
-
-    Runs the fixed p=1 schedule on random words under both conventions and
-    picks the one whose mean cost per car comes closest to 0.675, the known
-    large-size value for this schedule.  The winner (0.5) is frozen as
-    ``PHASE_SCALE``; this helper documents and reproduces the choice.
-    """
-    rng = np.random.default_rng(seed)
-    params = tree_params(1)
-    totals = {PHASE_SCALE: 0.0, PHASE_SCALE_UNHALVED: 0.0}
-    for _ in range(count):
-        graph = to_ising(random_instance(n, rng))
-        for scale in totals:
-            summary = lightcone_expectation(graph, params, phase_scale=scale)
-            totals[scale] += summary.mean_color_changes / n
-    halved = totals[PHASE_SCALE] / count
-    unhalved = totals[PHASE_SCALE_UNHALVED] / count
-    chosen = (
-        PHASE_SCALE
-        if abs(halved - 0.675) <= abs(unhalved - 0.675)
-        else PHASE_SCALE_UNHALVED
-    )
-    return CalibrationReport(
-        mean_dc_per_car_halved=halved,
-        mean_dc_per_car_unhalved=unhalved,
-        chosen_scale=chosen,
     )

@@ -6,14 +6,13 @@ large random words locally resemble, so no per-instance optimization loop is
 needed.
 
 Convention: one level applies exp(-i gamma_l * H_P) then exp(-i beta_l * X)
-on every qubit, with H_P = phase_scale * sum_ij J_ij Z_i Z_j.  The package
-default ``PHASE_SCALE = 0.5`` (couplings halved inside the phase, matching
-``hamiltonian_energy``) was frozen by calibration: with the p=1 schedule it
-reproduces mean color changes ~ 0.675 n on large random words, while the
-unhalved alternative (1.0) gives ~ 0.89 n, and the tabulated (gamma_1,
-beta_1) = (0.52358, -0.39269) sit at the closed-form single-level optimum
-(pi/6, -pi/8) of the 4-regular tree only under the halved convention.  See
-``paintshop.qaoa.lightcone.calibrate_phase_convention`` for the procedure.
+on every qubit, with the couplings halved inside the phase,
+H_P = 1/2 sum_ij J_ij Z_i Z_j (matching ``hamiltonian_energy``).  Only under
+this convention does the p=1 schedule reproduce mean color changes ~ 0.675 n
+on large random words, with (gamma_1, beta_1) = (0.52358, -0.39269) at the
+closed-form single-level optimum (pi/6, -pi/8) of the 4-regular tree.  The
+unhalved convention, H_P = sum_ij J_ij Z_i Z_j, is the same circuit with
+every gamma doubled; it gives ~ 0.89 n.
 """
 from __future__ import annotations
 
@@ -24,11 +23,8 @@ class UnknownParams(ValueError):
     """No fixed angle schedule is available for the requested depth."""
 
 
-#: Halved-coupling phase convention (the calibrated default).
+#: Factor on the couplings inside the phase unitary: H_P = PHASE_SCALE * sum J ZZ.
 PHASE_SCALE = 0.5
-
-#: The unhalved alternative, selectable for comparison.
-PHASE_SCALE_UNHALVED = 1.0
 
 
 @dataclass(frozen=True)

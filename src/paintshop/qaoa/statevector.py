@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import BpspInstance, Coloring, TooLarge, brute_force_opt
+from ..core import BpspInstance, Coloring, TooLarge
 from ..ising import CouplingGraph, to_ising
 from .params import PHASE_SCALE, QaoaParams
 
@@ -63,7 +63,7 @@ def _x_rotation(beta: float) -> tuple:
 
 
 def _simulate(
-    graph: CouplingGraph, params: QaoaParams, phase_scale: float, cap_qubits: int
+    graph: CouplingGraph, params: QaoaParams, cap_qubits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes after p levels from |+...+>, and the energy vector used."""
     n = graph.n
@@ -73,7 +73,7 @@ def _simulate(
     state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=dtype)
     energies = pair_energy_vector(graph)
     for gamma, beta in params.angles:
-        phases = np.exp((-1j * gamma * phase_scale) * energies)
+        phases = np.exp((-1j * gamma * PHASE_SCALE) * energies)
         state = state * phases.astype(state.dtype, copy=False)
         mixer = _x_rotation(beta)
         for bit in range(n):
@@ -85,14 +85,13 @@ def simulate_state(
     graph: CouplingGraph,
     params: QaoaParams,
     *,
-    phase_scale: float = PHASE_SCALE,
     cap_qubits: int = 22,
 ) -> Statevector:
     """Evolve |+...+> through p levels of phase and mixer unitaries.
 
     Single precision is used above 22 qubits to halve the footprint.
     """
-    state, _ = _simulate(graph, params, phase_scale, cap_qubits)
+    state, _ = _simulate(graph, params, cap_qubits)
     return Statevector(qubit_ids=tuple(range(graph.n)), amplitudes=state)
 
 
@@ -100,11 +99,10 @@ def expectation(
     graph: CouplingGraph,
     params: QaoaParams,
     *,
-    phase_scale: float = PHASE_SCALE,
     cap_qubits: int = 22,
 ) -> EnergySummary:
     """Exact circuit expectations of the adjacency energy and the cost."""
-    state, energies = _simulate(graph, params, phase_scale, cap_qubits)
+    state, energies = _simulate(graph, params, cap_qubits)
     probs = np.abs(state) ** 2
     mean_adj = graph.constant + float(probs @ energies)
     return EnergySummary(
@@ -155,21 +153,16 @@ def color_change_vector(instance: BpspInstance) -> np.ndarray:
     return (energies + graph.constant + 2 * instance.n - 1) // 2
 
 
-def p_alpha(
-    instance: BpspInstance,
-    state: Statevector,
-    alpha: float,
-    *,
-    oracle_cap: int = 24,
-) -> float:
+def p_alpha(instance: BpspInstance, state: Statevector, alpha: float) -> float:
     """Probability mass on assignments with cost <= alpha * optimum.
 
-    The threshold is inclusive; the optimum comes from the exact oracle.
+    The threshold is inclusive; the optimum is the least cost over all
+    assignments.
     """
     if state.qubit_ids != tuple(range(instance.n)):
         raise ValueError("state must cover qubits 0..n-1 of the instance")
-    opt = brute_force_opt(instance, cap_cars=oracle_cap).opt_changes
     costs = color_change_vector(instance)
+    opt = costs.min()
     probs = np.abs(state.amplitudes) ** 2
     # renormalize so a mask covering every outcome yields exactly 1.0
     return float(probs[costs <= alpha * opt].sum() / probs.sum())

@@ -108,6 +108,15 @@ class TestSolve:
                        "--out", str(tmp_path / "x.csv")) == 2
         assert "argument --cap-qubits: must be >= 1" in capsys.readouterr().err
 
+    def test_brute_force_beyond_32_cars_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "big.jsonl"
+        assert run_cli("gen", "--n", "34", "--out", str(path)) == 0
+        assert run_cli("solve", "--algo", "brute-force", "--cap-qubits", "40",
+                       "--in", str(path), "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: brute force capped at 32 cars, got 34"
+        ]
+
     @pytest.mark.parametrize("line, message", [
         ("[1,2]", "error: line 2: expected a JSON object, got list"),
         ('{"sequence":[0,0]}', "error: line 2: missing key 'n'"),
@@ -115,6 +124,16 @@ class TestSolve:
         ('{"n":1.0,"sequence":[0,0]}', 'error: line 2: "n" must be an integer, got 1.0'),
         ('{"n":1,"sequence":[0.5,0.5]}',
          "error: line 2: car identifiers must be integers, got 0.5"),
+        ('{"n":1,"sequence":[0,0] "x":1}',
+         "error: line 2: Expecting ',' delimiter at column 25"),
+        pytest.param("[" * 100_000, "error: line 2: maximum recursion depth exceeded"
+                     " while decoding a JSON array from a unicode string",
+                     id="deep-nesting"),
+        pytest.param('{"n":1,"sequence":[%s]}' % ("1" * 5000),
+                     "error: line 2: Exceeds the limit (4300 digits) for integer string"
+                     " conversion: value has 5000 digits; use"
+                     " sys.set_int_max_str_digits() to increase the limit",
+                     id="5000-digit-int"),
     ])
     def test_malformed_line_is_a_one_line_usage_error(self, tmp_path, capsys,
                                                       line, message):

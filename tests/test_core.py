@@ -177,6 +177,11 @@ class TestBruteForce:
         with pytest.raises(TooLarge):
             brute_force_opt(random_instance(25, 0), cap_cars=24)
 
+    def test_rejects_more_than_32_cars_whatever_the_cap(self):
+        # The pinned car reads bit 31 of a uint32 index: a 33rd car would share it.
+        with pytest.raises(TooLarge, match="capped at 32 cars, got 33"):
+            brute_force_opt(random_instance(33, 0), cap_cars=33)
+
     def test_cap_is_adjustable(self):
         res = brute_force_opt(random_instance(10, 3), cap_cars=10)
         assert res.opt_changes >= 1
@@ -252,6 +257,13 @@ class TestJsonl:
             ('{"n":3,"sequence":[0,1,1,0]}', WrongMultiplicity, "line 2: declared n=3"),
             ('{"n":1,"sequence":[100000000000000000000000,100000000000000000000000]}',
              BadIdentifier, "line 2: car identifier 100000000000000000000000 exceeds"),
+            ('{"n":1,"sequence":[0,0] "x":1}', BadRecord,
+             "line 2: Expecting ',' delimiter at column 25"),
+            pytest.param("[" * 100_000, BadRecord, "line 2: maximum recursion depth exceeded",
+                         id="deep-nesting"),
+            pytest.param('{"n":1,"sequence":[%s]}' % ("1" * 5000), BadRecord,
+                         "line 2: Exceeds the limit (4300 digits) for integer string",
+                         id="5000-digit-int"),
         ],
     )
     def test_malformed_lines_name_the_line(self, tmp_path, bad_line, error, text):

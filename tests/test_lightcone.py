@@ -11,7 +11,6 @@ from paintshop import (
     QaoaParams,
     SupportTooLarge,
     apply_gauge,
-    calibrate_phase_convention,
     edge_correlation,
     expectation,
     instance_rng,
@@ -23,7 +22,6 @@ from paintshop import (
     tree_gauge,
     tree_params,
 )
-from paintshop.qaoa.params import PHASE_SCALE
 
 
 def full_correlations(graph, params):
@@ -206,8 +204,14 @@ class TestGaugeInvariance:
 
 class TestCalibration:
     def test_halved_convention_wins(self):
-        report = calibrate_phase_convention(n=80, count=4, seed=7)
-        assert report.chosen_scale == PHASE_SCALE
-        assert abs(report.mean_dc_per_car_halved - 0.675) < abs(
-            report.mean_dc_per_car_unhalved - 0.675
-        )
+        """The halved couplings land nearer 0.675 per car at p=1 than the
+        unhalved convention, which is the same circuit with every gamma doubled."""
+        rng = np.random.default_rng(7)
+        params = tree_params(1)
+        doubled = QaoaParams(tuple((2 * gamma, beta) for gamma, beta in params.angles))
+        halved = unhalved = 0.0
+        for _ in range(4):
+            graph = to_ising(random_instance(80, rng))
+            halved += lightcone_expectation(graph, params).mean_color_changes / 80
+            unhalved += lightcone_expectation(graph, doubled).mean_color_changes / 80
+        assert abs(halved / 4 - 0.675) < abs(unhalved / 4 - 0.675)
