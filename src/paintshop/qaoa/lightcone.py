@@ -27,6 +27,14 @@ Two exact evaluation engines sit behind the contract:
 
 The automatic choice takes the engine with the smaller state: 4^|kept|
 versus 2^|support|.
+
+``lightcone_expectation`` memoizes tree lightcones for the length of one
+call.  Only couplings with an endpoint in the kept ball act on <Z_i Z_j>
+(one between two boundary qubits cancels), so the lightcone is a tree when
+they number |support| - 1.  On a tree a gauge flip makes every coupling
+positive and leaves J_ij <Z_i Z_j> unchanged, so sign(J_ij) <Z_i Z_j> is
+fixed by |J_ij| and the |J|-labelled shapes of the two halves rooted at i
+and at j (AHU encodings): that is the key, and the stored value.
 """
 from __future__ import annotations
 
@@ -168,6 +176,7 @@ def edge_correlation(
     support_cap: int = 26,
     engine: str = "auto",
     _adjacency=None,
+    _memo=None,
 ) -> float:
     """<Z_i Z_j> of one coupling under the restricted circuit."""
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency
@@ -178,14 +187,43 @@ def edge_correlation(
         raise SupportTooLarge(
             f"support of {edge} has {size} qubits, cap is {support_cap}"
         )
+    key = None if _memo is None or engine != "auto" else _tree_key(adjacency, edge, dist, p)
+    if key is None:
+        return _run_engine(adjacency, edge, dist, params, engine)
+    sign = 1.0 if graph.couplings[edge] > 0 else -1.0
+    if key not in _memo:
+        _memo[key] = sign * _run_engine(adjacency, edge, dist, params, engine)
+    return sign * _memo[key]
+
+
+def _run_engine(adjacency, edge, dist, params, engine) -> float:
+    """<Z_i Z_j> from the named engine, or the automatic choice."""
     if engine == "auto":
-        kept = sum(d < p for d in dist.values())
-        engine = "traced" if 2 * kept < size else "statevector"
+        kept = sum(d < params.p for d in dist.values())
+        engine = "traced" if 2 * kept < len(dist) else "statevector"
     if engine == "traced":
         return _corr_traced(adjacency, dist, params)
     if engine == "statevector":
         return _corr_statevector(adjacency, edge, dist, params)
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def _tree_key(adjacency, edge, dist, p):
+    """Memo key of a tree lightcone, or None if it has a cycle."""
+    acting = sum(dist[v] == p or u < v
+                 for u in dist if dist[u] < p for v, _ in adjacency[u])
+    if acting != len(dist) - 1:
+        return None
+
+    def shape(u, parent):
+        if dist[u] == p:
+            return "()"
+        return "(" + "".join(sorted(
+            f"{abs(val)}{shape(v, u)}" for v, val in adjacency[u] if v != parent
+        )) + ")"
+
+    i, j = edge
+    return (abs(dict(adjacency[i])[j]), *sorted((shape(i, j), shape(j, i))))
 
 
 def lightcone_expectation(
@@ -199,7 +237,7 @@ def lightcone_expectation(
     Couplings are visited in sorted order with a sequential reduction, so
     results are bitwise reproducible.
     """
-    adjacency = graph.adjacency_lists()
+    adjacency, memo = graph.adjacency_lists(), {}
     mean_adj = float(graph.constant)
     for (a, b) in sorted(graph.couplings):
         corr = edge_correlation(
@@ -208,6 +246,7 @@ def lightcone_expectation(
             params,
             support_cap=support_cap,
             _adjacency=adjacency,
+            _memo=memo,
         )
         mean_adj += graph.couplings[(a, b)] * corr
     return EnergySummary(

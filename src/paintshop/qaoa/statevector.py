@@ -67,8 +67,9 @@ def _simulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes after p levels from |+...+>, and the energy vector used."""
     n = graph.n
-    if n > cap_qubits:
-        raise TooLarge(f"statevector capped at {cap_qubits} qubits, got {n}")
+    cap = min(cap_qubits, 30)  # 8 GiB of complex64 amplitudes, as much again of energies
+    if n > cap:
+        raise TooLarge(f"statevector capped at {cap} qubits, got {n}")
     dtype = np.complex128 if n <= 22 else np.complex64
     state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=dtype)
     energies = pair_energy_vector(graph)
@@ -89,7 +90,8 @@ def simulate_state(
 ) -> Statevector:
     """Evolve |+...+> through p levels of phase and mixer unitaries.
 
-    Single precision is used above 22 qubits to halve the footprint.
+    Single precision is used above 22 qubits to halve the footprint; more
+    than 30 qubits raise ``TooLarge`` whatever ``cap_qubits`` says.
     """
     state, _ = _simulate(graph, params, cap_qubits)
     return Statevector(qubit_ids=tuple(range(graph.n)), amplitudes=state)

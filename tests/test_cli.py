@@ -208,6 +208,17 @@ class TestQaoa:
             assert "Traceback" not in err
             assert f"argument {flag}: must be >=" in err
 
+    @pytest.mark.parametrize("shots", [[], ["--shots", "10"]])
+    def test_statevector_beyond_30_qubits_is_a_usage_error(self, tmp_path, capsys,
+                                                           shots):
+        path = tmp_path / "big.jsonl"
+        assert run_cli("gen", "--n", "70", "--out", str(path)) == 0
+        assert run_cli("qaoa", "--p", "1", "--cap-qubits", "80", *shots,
+                       "--in", str(path), "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: statevector capped at 30 qubits, got 70"
+        ]
+
     def test_shots_with_lightcone_is_a_usage_error(self, instances, tmp_path):
         assert run_cli("qaoa", "--p", "1", "--method", "lightcone",
                        "--shots", "10", "--in", str(instances),

@@ -13,6 +13,7 @@ from paintshop import (
     apply_gauge,
     edge_correlation,
     expectation,
+    hard_instance,
     instance_rng,
     lightcone_expectation,
     lightcone_support,
@@ -22,6 +23,7 @@ from paintshop import (
     tree_gauge,
     tree_params,
 )
+from paintshop.qaoa import lightcone
 
 
 def full_correlations(graph, params):
@@ -215,3 +217,139 @@ class TestCalibration:
             halved += lightcone_expectation(graph, params).mean_color_changes / 80
             unhalved += lightcone_expectation(graph, doubled).mean_color_changes / 80
         assert abs(halved / 4 - 0.675) < abs(unhalved / 4 - 0.675)
+
+
+def free_correlations(graph, params):
+    """Per coupling, <Z_i Z_j> from the public call without a memo."""
+    return {edge: edge_correlation(graph, edge, params, engine="auto")
+            for edge in sorted(graph.couplings)}
+
+
+def memo_free(graph, params, free=None):
+    """constant + sum of J <Z_i Z_j> over the memo-free correlations."""
+    free = free_correlations(graph, params) if free is None else free
+    return graph.constant + sum(graph.couplings[edge] * corr for edge, corr in free.items())
+
+
+def memoized_correlations(graph, params):
+    """Per coupling, what lightcone_expectation's memo hands back."""
+    adjacency, memo = graph.adjacency_lists(), {}
+    return {edge: edge_correlation(graph, edge, params, _adjacency=adjacency, _memo=memo)
+            for edge in sorted(graph.couplings)}
+
+
+def random_tree(rng, n):
+    """Random tree on n qubits with J drawn from {-2, -1, 1, 2}."""
+    return CouplingGraph(n=n, couplings={
+        (int(rng.integers(0, child)), child): int(rng.choice([-2, -1, 1, 2]))
+        for child in range(1, n)
+    }, constant=0)
+
+
+def tree_key(graph, edge, p):
+    adjacency = graph.adjacency_lists()
+    return lightcone._tree_key(adjacency, edge, lightcone._distances(adjacency, edge, p), p)
+
+
+#: A path 0-1-...-12 with one triangle 12-13-14 at its end, couplings of
+#: both signs.  Tree lightcones at p=1: the end coupling (0, 1), the
+#: interior ones and (11, 12); at p=2: (0, 1), (1, 2), the interior ones and
+#: (10, 11), for which 13-14 joins two boundary qubits.  The rest see the loop.
+PATH_WITH_TRIANGLE = CouplingGraph(n=15, couplings={
+    **{(k, k + 1): (-1) ** (k * k // 3) for k in range(12)},
+    (12, 13): -1, (12, 14): 1, (13, 14): -1,
+}, constant=3)
+
+
+class TestTreeMemo:
+    def check(self, graph, params):
+        free = free_correlations(graph, params)
+        for edge, corr in memoized_correlations(graph, params).items():
+            assert corr == pytest.approx(free[edge], abs=1e-12)
+        total = lightcone_expectation(graph, params).mean_adjacency_energy
+        assert total == pytest.approx(memo_free(graph, params, free), abs=1e-12)
+
+    @pytest.mark.parametrize("p, n", [(1, 40), (2, 30), (3, 14)])
+    def test_random_words_match_memo_free(self, p, n):
+        for k in range(3):
+            self.check(to_ising(random_instance(n, instance_rng(46, k))), tree_params(p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_hard_instances_match_memo_free(self, p):
+        for n in (2, 5, 12, 30):
+            self.check(to_ising(hard_instance(n)), tree_params(p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_hand_built_trees_match_memo_free(self, p):
+        rng = np.random.default_rng(47)
+        for n in (2, 7, 15, 24):
+            self.check(random_tree(rng, n), tree_params(p))
+        self.check(PATH_WITH_TRIANGLE, tree_params(p))
+        self.check(HAND_BUILT, tree_params(p))
+
+    def test_coupling_strength_is_part_of_the_key(self):
+        """(0, 1) and (3, 4) have the same halves, one bare end and one
+        with a single |J| = 1 child, but |J_ij| = 1 against 2."""
+        graph = CouplingGraph(n=6, couplings={
+            (0, 1): 1, (1, 2): 1, (3, 4): 2, (4, 5): 1,
+        }, constant=0)
+        params = tree_params(1)
+        assert tree_key(graph, (0, 1), 1) != tree_key(graph, (3, 4), 1)
+        corr = memoized_correlations(graph, params)
+        assert corr[(0, 1)] != pytest.approx(corr[(3, 4)], abs=1e-3)
+        self.check(graph, params)
+
+    @pytest.mark.parametrize("p, runs", [(1, 3 + 3), (2, 4 + 4)])
+    def test_one_engine_run_per_tree_shape(self, monkeypatch, p, runs):
+        engine_edges, public_edges = [], []
+        run_engine, public = lightcone._run_engine, lightcone.edge_correlation
+
+        def counted_engine(adjacency, edge, *args):
+            engine_edges.append(edge)
+            return run_engine(adjacency, edge, *args)
+
+        def counted_public(graph, edge, *args, **kwargs):
+            public_edges.append(edge)
+            return public(graph, edge, *args, **kwargs)
+
+        monkeypatch.setattr(lightcone, "_run_engine", counted_engine)
+        monkeypatch.setattr(lightcone, "edge_correlation", counted_public)
+        params = tree_params(p)
+        total = lightcone_expectation(PATH_WITH_TRIANGLE, params).mean_adjacency_energy
+        assert len(engine_edges) == runs
+        assert public_edges == sorted(PATH_WITH_TRIANGLE.couplings)
+        engine_edges.clear()
+        assert total == pytest.approx(memo_free(PATH_WITH_TRIANGLE, params), abs=1e-12)
+        assert len(engine_edges) == len(PATH_WITH_TRIANGLE.couplings)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), p=st.integers(1, 3))
+    def test_key_is_a_gauge_and_relabelling_invariant_of_trees(self, seed, n, p):
+        rng = np.random.default_rng(seed)
+        graph = random_tree(rng, n)
+        edge = sorted(graph.couplings)[int(rng.integers(len(graph.couplings)))]
+        key = tree_key(graph, edge, p)
+        assert key is not None
+
+        flips = {q for q in range(n) if rng.random() < 0.5}
+        perm = rng.permutation(n)
+        moved = {tuple(sorted((int(perm[a]), int(perm[b])))): val
+                 for (a, b), val in apply_gauge(graph, flips).couplings.items()}
+        image = tuple(sorted((int(perm[edge[0]]), int(perm[edge[1]]))))
+        assert tree_key(CouplingGraph(n=n, couplings=moved, constant=0), image, p) == key
+
+        i, j = edge
+        loops = [{(i, n): 1, (j, n): -1}]  # a triangle through the coupling
+        if p >= 2:  # at p=1 the square's far side joins two boundary qubits
+            loops.append({(i, n): 1, (n, n + 1): 2, (j, n + 1): -1})
+        for extra in loops:
+            loopy = CouplingGraph(n=n + 2, couplings={**graph.couplings, **extra},
+                                  constant=0)
+            assert tree_key(loopy, edge, p) is None
+
+        dist = lightcone._distances(graph.adjacency_lists(), edge, p)
+        acting = [e for e in graph.couplings if min(dist.get(q, p) for q in e) < p]
+        changed = acting[int(rng.integers(len(acting)))]
+        other = dict(graph.couplings)
+        other[changed] = 3 - abs(other[changed])
+        assert tree_key(CouplingGraph(n=n, couplings=other, constant=0), edge, p) != key

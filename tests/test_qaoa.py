@@ -132,6 +132,12 @@ class TestStatevector:
                 to_ising(random_instance(12, 0)), tree_params(1), cap_qubits=10
             )
 
+    def test_rejects_more_than_30_qubits_whatever_the_cap(self):
+        with pytest.raises(TooLarge, match="capped at 30 qubits, got 31"):
+            simulate_state(
+                to_ising(random_instance(31, 0)), tree_params(1), cap_qubits=40
+            )
+
     def test_expectation_builds_the_energy_vector_once(self, monkeypatch):
         calls = []
         original = statevector.pair_energy_vector
