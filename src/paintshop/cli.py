@@ -34,9 +34,8 @@ from .core import (
     write_jsonl,
 )
 from .heuristics import SOLVERS
-from .ising import NoCouplings, NonUnitCoupling, NotATree, to_ising
+from .ising import NoCouplings, to_ising
 from .qaoa import (
-    DegenerateBaseline,
     SupportTooLarge,
     UnknownParams,
     color_change_vector,
@@ -67,10 +66,7 @@ _USAGE_ERRORS = (
     UnknownAlgo,
     FlagNotTaken,
     SupportTooLarge,
-    NotATree,
-    NonUnitCoupling,
     NoCouplings,
-    DegenerateBaseline,
     OSError,
 )
 

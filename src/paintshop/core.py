@@ -51,11 +51,6 @@ class BpspInstance:
         pos[self.sequence[self.occurrence == 0]] = np.flatnonzero(self.occurrence == 0)
         return pos
 
-    def second_positions(self) -> np.ndarray:
-        pos = np.empty(self.n, dtype=np.int64)
-        pos[self.sequence[self.occurrence == 1]] = np.flatnonzero(self.occurrence == 1)
-        return pos
-
 
 @dataclass(frozen=True)
 class Coloring:

@@ -11,23 +11,25 @@ states are exactly the greedy solutions.
 """
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .core import BpspInstance, Coloring
 from .ising import CouplingGraph
 
 
-def greedy(instance: BpspInstance, initial_color: int = 0) -> Coloring:
+def greedy(instance: BpspInstance) -> Coloring:
     """Paint along the word, flipping the current color only when forced.
 
     An unseen car takes the current color as its first color.  A seen car is
     forced to the opposite of its first color; the current color follows it,
     so a change happens only when the car would otherwise be painted with its
-    first color again.  The two initial colors give mirror colorings with
-    identical cost.
+    first color again.  The walk starts with color 0; ``Coloring.flip`` gives
+    the mirror coloring, which starts with color 1 at the same cost.
     """
     fc = np.full(instance.n, -1, dtype=np.int8)
-    current = int(initial_color)
+    current = 0
     for car in instance.sequence:
         if fc[car] < 0:
             fc[car] = current
@@ -43,76 +45,43 @@ def red_first(instance: BpspInstance) -> Coloring:
 
 def recursive_greedy(instance: BpspInstance) -> Coloring:
     """Peel the car owning the final position until one car remains, then
-    re-insert in reverse order, coloring each car to minimize the changes on
-    the adjacencies it creates.
+    re-insert the cars in reverse order, giving each the first color that
+    changes the fewest of the adjacencies it creates.  Three facts make
+    this one pass over a doubly linked list of positions:
 
-    The base length-2 word takes first color 0; each re-inserted car creates
-    at most four adjacencies in the current reduced word and the cheaper of
-    its two first colors is chosen, ties toward color 0.
+    * The final position of a reduced word is a second occurrence, so cars
+      leave in decreasing order of their second position.
+    * Cars return in the reverse order, and an unlinked position keeps its
+      links (as in dancing links), so re-linking a car's second position and
+      then its first restores the word it left.
+    * An adjacency of the car's position i with another car's position j
+      avoids a change when the first color is color(j) ^ occurrence(i), so
+      the cheaper first color is a majority vote, ties toward color 0.  The
+      car's adjacency with itself always changes and does not vote.
+
+    The car that remains takes first color 0.
     """
-    n = instance.n
-    m = 2 * n
-    seq = instance.sequence
-    occ = instance.occurrence
-    first_pos = instance.first_positions()
-    second_pos = instance.second_positions()
-
-    # Doubly linked list over positions; -1 is the head sentinel, m the tail.
-    nxt = list(range(1, m + 1))
-    prv = list(range(-1, m - 1))
-    last = m - 1
-
-    def detach(i: int) -> None:
-        nonlocal last
-        a, b = prv[i], nxt[i]
-        if a >= 0:
-            nxt[a] = b
-        if b < m:
-            prv[b] = a
-        if i == last:
-            last = a
-
-    deleted = []
-    active = n
-    while active > 1:
-        car = int(seq[last])
-        detach(int(first_pos[car]))
-        detach(int(second_pos[car]))
-        deleted.append(car)
-        active -= 1
-
-    fc = np.full(n, -1, dtype=np.int8)
-    fc[seq[last]] = 0
-
-    def attach(i: int) -> None:
-        a, b = prv[i], nxt[i]
-        if a >= 0:
-            nxt[a] = i
-        if b < m:
-            prv[b] = i
-
-    for car in reversed(deleted):
-        p1, p2 = int(first_pos[car]), int(second_pos[car])
-        attach(p2)
-        attach(p1)
-        edges = set()
-        for i in (p1, p2):
-            if prv[i] >= 0:
-                edges.add((prv[i], i))
-            if nxt[i] < m:
-                edges.add((i, nxt[i]))
-        best_cost, best_color = None, 0
-        for candidate in (0, 1):
-            fc[car] = candidate
-            cost = 0
-            for x, y in edges:
-                cx = fc[seq[x]] ^ occ[x]
-                cy = fc[seq[y]] ^ occ[y]
-                cost += int(cx != cy)
-            if best_cost is None or cost < best_cost:
-                best_cost, best_color = cost, candidate
-        fc[car] = best_color
-    return Coloring(fc)
+    n, m = instance.n, 2 * instance.n
+    first = instance.first_positions()
+    seconds = np.flatnonzero(instance.occurrence == 1)
+    firsts = first[instance.sequence[seconds]]
+    # Doubly linked ring of positions closed by a header at m; typed arrays, no int objects.
+    nxt, prv = array("q", range(1, m + 2)), array("q", range(-1, m))
+    nxt[m], prv[0] = 0, m
+    for k in range(n - 1, 0, -1):
+        for i in (int(firsts[k]), int(seconds[k])):
+            nxt[prv[i]], prv[nxt[i]] = nxt[i], prv[i]
+    color = bytearray(m + 1)  # per position
+    color[seconds[0]] = 1
+    for k in range(1, n):
+        p1, p2 = int(firsts[k]), int(seconds[k])
+        for i in (p2, p1):
+            nxt[prv[i]] = prv[nxt[i]] = i
+        near = ((prv[p1], 0), (nxt[p1], 0), (prv[p2], 1))
+        votes = [color[j] ^ occ for j, occ in near if j not in (m, p1, p2)]
+        color[p1] = 2 * sum(votes) > len(votes)
+        color[p2] = 1 - color[p1]
+    return Coloring(np.frombuffer(color, dtype=np.int8)[first])
 
 
 #: The sequential heuristics by name; the single source of their CLI names.

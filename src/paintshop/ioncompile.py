@@ -25,7 +25,7 @@ import numpy as np
 from .core import TooLarge
 from .ising import CouplingGraph
 from .qaoa.params import PHASE_SCALE, QaoaParams
-from .qaoa.statevector import Statevector, _apply_1q
+from .qaoa.statevector import _MAX_QUBITS, Statevector, _apply_1q
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,11 @@ def _apply_2q(state: np.ndarray, mat: np.ndarray, bit_a: int, bit_b: int, n: int
 
 
 def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevector:
-    """Run the native circuit on |0...0>."""
+    """Run the native circuit on |0...0>; more than 30 qubits raise TooLarge at any cap."""
     n = circuit.n
-    if n > cap_qubits:
-        raise TooLarge(f"native simulation capped at {cap_qubits} qubits, got {n}")
+    cap = min(cap_qubits, _MAX_QUBITS)
+    if n > cap:
+        raise TooLarge(f"native simulation capped at {cap} qubits, got {n}")
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
     for gate in circuit.gates:

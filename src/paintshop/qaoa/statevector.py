@@ -15,6 +15,9 @@ from ..ising import CouplingGraph, to_ising
 from .params import PHASE_SCALE, QaoaParams
 
 
+_MAX_QUBITS = 30  # whatever the cap: 8 GiB of complex64 amplitudes, as much again of energies
+
+
 class DegenerateBaseline(ZeroDivisionError):
     """The random baseline coincides with the simulated mean."""
 
@@ -67,7 +70,7 @@ def _simulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes after p levels from |+...+>, and the energy vector used."""
     n = graph.n
-    cap = min(cap_qubits, 30)  # 8 GiB of complex64 amplitudes, as much again of energies
+    cap = min(cap_qubits, _MAX_QUBITS)
     if n > cap:
         raise TooLarge(f"statevector capped at {cap} qubits, got {n}")
     dtype = np.complex128 if n <= 22 else np.complex64

@@ -8,8 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from paintshop import experiments, validate
-from paintshop.cli import main, solve_instance, UnknownAlgo
+from paintshop import (
+    DegenerateBaseline,
+    NonUnitCoupling,
+    NotATree,
+    experiments,
+    validate,
+)
+from paintshop.cli import _USAGE_ERRORS, main, solve_instance, UnknownAlgo
 from paintshop.experiments import EXPERIMENTS
 from paintshop.heuristics import SOLVERS
 
@@ -166,6 +172,10 @@ class TestSolve:
         assert run_cli("solve", "--algo", "greedy",
                        "--in", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_usage_errors_hold_no_unreachable_handler(self):
+        # the CLI never calls tree_gauge, apply_gauge or delta_c_metric
+        assert {NotATree, NonUnitCoupling, DegenerateBaseline}.isdisjoint(_USAGE_ERRORS)
 
 
 class TestQaoa:

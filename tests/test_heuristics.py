@@ -1,5 +1,8 @@
 """Sequential heuristics and the greedy ground-state subsystem."""
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +10,7 @@ from paintshop import (
     brute_force_opt,
     color_changes,
     coloring_to_spins,
+    easy_instance,
     greedy,
     greedy_subsystem,
     hard_instance,
@@ -31,6 +35,29 @@ def naive_greedy(word, n, initial=0):
     return fc
 
 
+def naive_changes(word, fc):
+    """Paint the word from the first colors in ``fc`` and count the changes."""
+    seen, paint = set(), []
+    for car in word:
+        paint.append(1 - fc[car] if car in seen else fc[car])
+        seen.add(car)
+    return sum(a != b for a, b in zip(paint, paint[1:]))
+
+
+def naive_recursive_greedy(word):
+    """Remove the car at the last position, solve the rest, re-insert the car
+    and keep its cheaper first color, ties toward 0; a lone car takes 0."""
+    car = word[-1]
+    rest = [c for c in word if c != car]
+    fc = naive_recursive_greedy(rest) if rest else {}
+    costs = []
+    for color in (0, 1):
+        fc[car] = color
+        costs.append(naive_changes(word, fc))
+    fc[car] = int(costs[1] < costs[0])
+    return fc
+
+
 def words(max_n=8):
     return st.integers(1, max_n).flatmap(
         lambda n: st.permutations([i for i in range(n) for _ in range(2)])
@@ -42,9 +69,14 @@ class TestGreedy:
     def test_matches_naive_walk(self, word):
         inst = validate(word)
         assert greedy(inst).first_color.tolist() == naive_greedy(word, inst.n)
-        assert greedy(inst, initial_color=1).first_color.tolist() == naive_greedy(
+        assert greedy(inst).flip().first_color.tolist() == naive_greedy(
             word, inst.n, initial=1
         )
+
+    def test_takes_no_initial_color(self):
+        # the mirror coloring is Coloring.flip, not a second walk
+        with pytest.raises(TypeError):
+            greedy(validate([0, 0]), 1)
 
     @given(words())
     def test_never_below_optimum(self, word):
@@ -76,7 +108,32 @@ class TestRedFirst:
         assert abs(total / count - 2 / 3) < 0.03
 
 
+def assert_matches_naive(inst):
+    fc = naive_recursive_greedy(inst.sequence.tolist())
+    got = recursive_greedy(inst).first_color
+    assert got.dtype == np.int8
+    assert got.tolist() == [fc[car] for car in range(inst.n)]
+
+
 class TestRecursiveGreedy:
+    def test_matches_naive_on_every_word_up_to_four_cars(self):
+        for n in range(1, 5):
+            for word in set(itertools.permutations([i for i in range(n) for _ in range(2)])):
+                assert_matches_naive(validate(word))
+
+    @given(words())
+    def test_matches_naive_on_random_words(self, word):
+        assert_matches_naive(validate(word))
+
+    def test_matches_naive_on_ladders_and_pairs(self):
+        for n in range(1, 31):
+            assert_matches_naive(hard_instance(n))
+            assert_matches_naive(easy_instance(n))
+
+    def test_matches_naive_on_seeded_words_up_to_300_cars(self):
+        for k, n in enumerate(range(10, 301, 10)):
+            assert_matches_naive(random_instance(n, instance_rng(25, k)))
+
     @given(words())
     @settings(max_examples=60)
     def test_never_below_optimum(self, word):

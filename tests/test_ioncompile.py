@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from paintshop import (
+    TooLarge,
     circuit_from_json,
     circuit_to_json,
     compile_qaoa,
@@ -81,6 +82,23 @@ class TestUnitaryEquivalence:
             qubit_ids=ref.qubit_ids, amplitudes=ref.amplitudes * np.exp(0.7j)
         )
         assert state_fidelity(rotated, ref) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestQubitCeiling:
+    def test_qubit_cap(self):
+        circ = compile_qaoa(to_ising(random_instance(12, 0)), tree_params(1))
+        with pytest.raises(TooLarge, match="capped at 10 qubits, got 12"):
+            simulate_native(circ, cap_qubits=10)
+
+    def test_rejects_70_qubits_before_allocating(self):
+        circ = compile_qaoa(to_ising(random_instance(70, 0)), tree_params(1))
+        with pytest.raises(TooLarge, match="capped at 30 qubits, got 70"):
+            simulate_native(circ, cap_qubits=80)
+
+    def test_rejects_more_than_30_qubits_whatever_the_cap(self):
+        circ = compile_qaoa(to_ising(random_instance(31, 0)), tree_params(1))
+        with pytest.raises(TooLarge, match="capped at 30 qubits, got 31"):
+            simulate_native(circ, cap_qubits=40)
 
 
 class TestGateMatrices:
