@@ -28,6 +28,22 @@ from .qaoa.params import PHASE_SCALE, QaoaParams
 from .qaoa.statevector import _MAX_QUBITS, Statevector, _apply_1q
 
 
+# Each gate kind once: its JSON qubit field ("qubits" holds a pair) and its
+# angle fields, in wire key order after "kind".
+_WIRE_FIELDS = {
+    "rxx": ("qubits", ("angle",)),
+    "r": ("qubit", ("theta", "phi")),
+    "rz": ("qubit", ("theta",)),
+}
+
+
+def _wire_fields(kind: str) -> tuple:
+    try:
+        return _WIRE_FIELDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown gate kind {kind!r}") from None
+
+
 @dataclass(frozen=True)
 class NativeGate:
     kind: str
@@ -35,22 +51,9 @@ class NativeGate:
     angles: tuple
 
     def to_json(self) -> dict:
-        if self.kind == "rxx":
-            return {
-                "kind": "rxx",
-                "qubits": [self.qubits[0], self.qubits[1]],
-                "angle": self.angles[0],
-            }
-        if self.kind == "r":
-            return {
-                "kind": "r",
-                "qubit": self.qubits[0],
-                "theta": self.angles[0],
-                "phi": self.angles[1],
-            }
-        if self.kind == "rz":
-            return {"kind": "rz", "qubit": self.qubits[0], "theta": self.angles[0]}
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        qubit_key, angle_keys = _wire_fields(self.kind)
+        qubits = list(self.qubits) if qubit_key == "qubits" else self.qubits[0]
+        return {"kind": self.kind, qubit_key: qubits, **dict(zip(angle_keys, self.angles))}
 
 
 @dataclass(frozen=True)
@@ -113,9 +116,8 @@ def compile_qaoa(graph: CouplingGraph, params: QaoaParams) -> NativeCircuit:
 
 
 def gate_counts(circuit: NativeCircuit) -> GateCounts:
-    singles = sum(1 for g in circuit.gates if g.kind in ("r", "rz"))
-    doubles = sum(1 for g in circuit.gates if g.kind == "rxx")
-    return GateCounts(depth=circuit.depth, singles=singles, doubles=doubles)
+    doubles = sum(len(g.qubits) == 2 for g in circuit.gates)
+    return GateCounts(depth=circuit.depth, singles=circuit.depth - doubles, doubles=doubles)
 
 
 def _gate_matrix(gate: NativeGate) -> np.ndarray:
@@ -136,34 +138,28 @@ def _gate_matrix(gate: NativeGate) -> np.ndarray:
             [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]],
             dtype=np.complex128,
         )
-    if gate.kind == "rxx":
-        (alpha,) = gate.angles
-        c = np.cos(alpha / 2)
-        s = -1j * np.sin(alpha / 2)
-        return np.array(
-            [
-                [c, 0, 0, s],
-                [0, c, s, 0],
-                [0, s, c, 0],
-                [s, 0, 0, c],
-            ],
-            dtype=np.complex128,
-        )
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_2q(state: np.ndarray, mat: np.ndarray, bit_a: int, bit_b: int, n: int) -> np.ndarray:
-    tensor = state.reshape([2] * n)
-    # Axis for index bit t is n-1-t; matrix rows/cols are ordered (a, b).
-    axes = (n - 1 - bit_a, n - 1 - bit_b)
-    moved = np.moveaxis(tensor, axes, (0, 1)).reshape(4, -1)
-    moved = mat @ moved
-    restored = np.moveaxis(moved.reshape(2, 2, *([2] * (n - 2))), (0, 1), axes)
-    return np.ascontiguousarray(restored).reshape(-1)
+def _apply_rxx(state: np.ndarray, alpha: float, bit_a: int, bit_b: int) -> None:
+    """In-place R_XX(alpha) = cos(alpha/2) I - i sin(alpha/2) X_a X_b on two index bits.
+
+    X_a X_b psi is psi with both bits reversed, a view formed without a copy;
+    the only temporary is its scaled copy.
+    """
+    lo, hi = sorted((bit_a, bit_b))
+    t = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    flipped = complex(-1j * np.sin(alpha / 2)) * t[:, ::-1, :, ::-1]
+    t *= float(np.cos(alpha / 2))
+    t += flipped
 
 
 def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevector:
-    """Run the native circuit on |0...0>; more than 30 qubits raise TooLarge at any cap."""
+    """Run the native circuit on |0...0>; more than 30 qubits raise TooLarge at any cap.
+
+    Amplitudes are always complex128: 16 GiB at 30 qubits, and each R_XX
+    holds one more state-sized temporary while it is applied.
+    """
     n = circuit.n
     cap = min(cap_qubits, _MAX_QUBITS)
     if n > cap:
@@ -171,11 +167,10 @@ def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevec
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
     for gate in circuit.gates:
-        mat = _gate_matrix(gate)
         if gate.kind == "rxx":
-            state = _apply_2q(state, mat, gate.qubits[0], gate.qubits[1], n)
+            _apply_rxx(state, gate.angles[0], *gate.qubits)
         else:
-            _apply_1q(state, mat.tolist(), gate.qubits[0])
+            _apply_1q(state, _gate_matrix(gate).tolist(), gate.qubits[0])
     return Statevector(qubit_ids=tuple(range(n)), amplitudes=state)
 
 
@@ -196,12 +191,7 @@ def circuit_to_json(circuit: NativeCircuit) -> dict:
 def circuit_from_json(obj: dict) -> NativeCircuit:
     gates = []
     for g in obj["gates"]:
-        if g["kind"] == "rxx":
-            gates.append(rxx(g["qubits"][0], g["qubits"][1], g["angle"]))
-        elif g["kind"] == "r":
-            gates.append(r(g["qubit"], g["theta"], g["phi"]))
-        elif g["kind"] == "rz":
-            gates.append(rz(g["qubit"], g["theta"]))
-        else:
-            raise ValueError(f"unknown gate kind {g['kind']!r}")
+        qubit_key, angle_keys = _wire_fields(g["kind"])
+        qubits = tuple(g[qubit_key]) if qubit_key == "qubits" else (g[qubit_key],)
+        gates.append(NativeGate(g["kind"], qubits, tuple(g[k] for k in angle_keys)))
     return NativeCircuit(n=int(obj["n"]), gates=tuple(gates))

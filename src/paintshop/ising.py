@@ -101,9 +101,9 @@ def _merged_arrays(instance: BpspInstance):
 def to_ising(instance: BpspInstance) -> CouplingGraph:
     """Merged coupling graph of a paint shop word."""
     pairs, values, constant, _ = _merged_arrays(instance)
-    couplings = {
-        (int(i), int(j)): int(v) for (i, j), v in zip(pairs, values)
-    }
+    # Column lists, not one list per row, keep the transient memory small at large n.
+    lo, hi = pairs.T.tolist()
+    couplings = dict(zip(zip(lo, hi), values.tolist()))
     return CouplingGraph(n=instance.n, couplings=couplings, constant=constant)
 
 

@@ -15,7 +15,10 @@ from ..ising import CouplingGraph, to_ising
 from .params import PHASE_SCALE, QaoaParams
 
 
-_MAX_QUBITS = 30  # whatever the cap: 8 GiB of complex64 amplitudes, as much again of energies
+# Whatever the cap.  At 30 qubits the dense simulator holds 8 GiB of complex64
+# amplitudes and as much again of energies; simulate_native holds 16 GiB of
+# complex128 amplitudes plus one as large while it applies an R_XX.
+_MAX_QUBITS = 30
 
 
 class DegenerateBaseline(ZeroDivisionError):

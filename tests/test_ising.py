@@ -36,6 +36,22 @@ def naive_changes(seq, fc):
     return sum(a != b for a, b in zip(colors, colors[1:]))
 
 
+def naive_couplings(word):
+    """Walk the word: each adjacency of two cars adds +1 to their pair when
+    their occurrences differ, -1 when they agree; zero pairs drop out."""
+    seen, occurrence = set(), []
+    for car in word:
+        occurrence.append(car in seen)
+        seen.add(car)
+    merged = {}
+    for k in range(len(word) - 1):
+        a, b = word[k], word[k + 1]
+        if a != b:
+            key = (min(a, b), max(a, b))
+            merged[key] = merged.get(key, 0) + (1 if occurrence[k] != occurrence[k + 1] else -1)
+    return {key: v for key, v in merged.items() if v}
+
+
 def words(max_n=6):
     return st.integers(1, max_n).flatmap(
         lambda n: st.permutations([i for i in range(n) for _ in range(2)])
@@ -73,6 +89,15 @@ class TestMerging:
         assert g.degrees().max(initial=0) <= 4
         for (a, b) in g.couplings:
             assert a < b
+
+
+    @given(words(max_n=30))
+    def test_couplings_are_plain_ints_in_sorted_order(self, word):
+        couplings = to_ising(validate(word)).couplings
+        assert list(couplings) == sorted(couplings)
+        assert all(type(q) is int for key in couplings for q in key)
+        assert all(type(v) is int for v in couplings.values())
+        assert couplings == naive_couplings(word)
 
 
 class TestEnergyIdentity:
