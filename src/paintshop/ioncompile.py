@@ -25,7 +25,7 @@ import numpy as np
 from .core import TooLarge
 from .ising import CouplingGraph
 from .qaoa.params import PHASE_SCALE, QaoaParams
-from .qaoa.statevector import _MAX_QUBITS, Statevector, _apply_1q
+from .qaoa.statevector import _MAX_QUBITS, Statevector, _apply_1q, _rotate_x
 
 
 # Each gate kind once: its JSON qubit field ("qubits" holds a pair) and its
@@ -141,24 +141,12 @@ def _gate_matrix(gate: NativeGate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_rxx(state: np.ndarray, alpha: float, bit_a: int, bit_b: int) -> None:
-    """In-place R_XX(alpha) = cos(alpha/2) I - i sin(alpha/2) X_a X_b on two index bits.
-
-    X_a X_b psi is psi with both bits reversed, a view formed without a copy;
-    the only temporary is its scaled copy.
-    """
-    lo, hi = sorted((bit_a, bit_b))
-    t = state.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    flipped = complex(-1j * np.sin(alpha / 2)) * t[:, ::-1, :, ::-1]
-    t *= float(np.cos(alpha / 2))
-    t += flipped
-
-
 def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevector:
     """Run the native circuit on |0...0>; more than 30 qubits raise TooLarge at any cap.
 
-    Amplitudes are always complex128: 16 GiB at 30 qubits, and each R_XX
-    holds one more state-sized temporary while it is applied.
+    Amplitudes are always complex128: 16 GiB at 30 qubits, and one scratch
+    buffer as large serves every gate.  R_XX(alpha) = exp(-i alpha/2 X_a X_b)
+    is the dense simulator's ``_rotate_x`` on two bits.
     """
     n = circuit.n
     cap = min(cap_qubits, _MAX_QUBITS)
@@ -166,11 +154,12 @@ def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevec
         raise TooLarge(f"native simulation capped at {cap} qubits, got {n}")
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
+    scratch = np.empty_like(state)
     for gate in circuit.gates:
         if gate.kind == "rxx":
-            _apply_rxx(state, gate.angles[0], *gate.qubits)
+            _rotate_x(state, gate.angles[0] / 2, gate.qubits, scratch)
         else:
-            _apply_1q(state, _gate_matrix(gate).tolist(), gate.qubits[0])
+            _apply_1q(state, _gate_matrix(gate).tolist(), gate.qubits[0], scratch)
     return Statevector(qubit_ids=tuple(range(n)), amplitudes=state)
 
 

@@ -15,9 +15,14 @@ from ..ising import CouplingGraph, to_ising
 from .params import PHASE_SCALE, QaoaParams
 
 
-# Whatever the cap.  At 30 qubits the dense simulator holds 8 GiB of complex64
-# amplitudes and as much again of energies; simulate_native holds 16 GiB of
-# complex128 amplitudes plus one as large while it applies an R_XX.
+# Whatever the cap.  Per amplitude the dense simulator holds the state, one
+# scratch buffer of its dtype and the int64 energies: 16 + 16 + 8 = 40 bytes
+# in complex128 (up to 22 qubits), 8 + 8 + 8 = 24 in complex64.  expectation's
+# readout then holds the state, the energies, the probabilities and matmul's
+# float64 casts of the energies (and, in complex64, of the float32
+# probabilities): 16 + 8 + 8 + 8 = 40 and 8 + 8 + 4 + 8 + 8 = 36 bytes, so
+# 36 GiB at 30 qubits.  simulate_native holds 16 GiB of complex128 amplitudes
+# and a scratch buffer as large.
 _MAX_QUBITS = 30
 
 
@@ -38,34 +43,75 @@ class EnergySummary:
 
 
 def pair_energy_vector(graph: CouplingGraph) -> np.ndarray:
-    """sum_ij J_ij s_i s_j per basis index, as an integer vector."""
-    basis = np.arange(1 << graph.n, dtype=np.int64)
+    """sum_ij J_ij s_i s_j per basis index, as an integer vector.
+
+    Built by doubling over qubits: while the first 2^k entries hold the
+    energy of qubits below k, qubit k (spin +1 there, -1 on the next 2^k)
+    adds +h and -h, h = sum_{i<k} J_ik s_i.  h is built in the upper half by
+    the same doubling over the bits i of its couplings, tiled across the
+    bits between them.
+    """
     energies = np.zeros(1 << graph.n, dtype=np.int64)
-    for (i, j) in sorted(graph.couplings):
-        parity = ((basis >> i) ^ (basis >> j)) & 1
-        energies += graph.couplings[(i, j)] * (1 - 2 * parity)
+    below: list[dict] = [{} for _ in range(graph.n)]
+    for (a, b), value in graph.couplings.items():
+        i, k = (a, b) if a < b else (b, a)
+        below[k][i] = below[k].get(i, 0) + value
+    for k, couplings in enumerate(below):
+        lower, field = energies[: 1 << k], energies[1 << k : 2 << k]
+        if not couplings:
+            field[:] = lower
+            continue
+        filled = 0  # field[:filled] holds h over the bits up to the last i; beyond, zeros
+        for i, value in sorted(couplings.items()):
+            if filled:
+                field[: 1 << i].reshape(-1, filled)[1:] = field[:filled]
+            np.subtract(field[: 1 << i], value, out=field[1 << i : 2 << i])
+            field[: 1 << i] += value
+            filled = 2 << i
+        field.reshape(-1, filled)[1:] = field[:filled]
+        lower += field
+        field *= -2
+        field += lower
     return energies
 
 
-def _apply_1q(state: np.ndarray, mat, bit: int) -> None:
-    """In-place 2x2 gate on the given index bit.
+def _rotate_x(state: np.ndarray, theta: float, bits: tuple, scratch: np.ndarray) -> None:
+    """In place exp(-i theta X_S) = cos(theta) I - i sin(theta) X_S on one or two index bits S.
+
+    X_S psi is psi with the bits of S reversed, a view formed without a copy;
+    ``scratch`` (state-sized, same dtype) receives it scaled.
+    """
+    lo = min(bits)
+    dims, flip = (2, 1 << lo), (slice(None), slice(None, None, -1))
+    if len(bits) == 2:
+        dims, flip = (2, 1 << (max(bits) - lo - 1)) + dims, flip + flip
+    t = state.reshape(-1, *dims)
+    flipped = scratch.reshape(t.shape)
+    np.multiply(t[flip], complex(-1j * np.sin(theta)), out=flipped)
+    t *= float(np.cos(theta))
+    t += flipped
+
+
+def _apply_1q(state: np.ndarray, mat, bit: int, scratch: np.ndarray) -> None:
+    """In-place 2x2 gate on the given index bit; ``scratch`` (state-sized) holds products.
 
     ``mat`` = ((m00, m01), (m10, m11)) holds Python scalars, so single-precision
     states stay single precision.
     """
     (m00, m01), (m10, m11) = mat
     view = state.reshape(-1, 2, 1 << bit)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = m00 * a0 + m01 * a1
-    view[:, 1, :] = m10 * a0 + m11 * a1
-
-
-def _x_rotation(beta: float) -> tuple:
-    """exp(-i beta X) as Python scalars."""
-    c = float(np.cos(beta))
-    s = complex(-1j * np.sin(beta))
-    return ((c, s), (s, c))
+    a0, a1 = view[:, 0, :], view[:, 1, :]
+    b0, b1 = scratch.reshape(2, *a0.shape)
+    # Every product is scalar first and written outside the state: numpy's
+    # complex multiply rounds differently when its operands swap, or when its
+    # output overlaps an input (in place on one element, or interleaved).
+    np.multiply(m00, a0, out=b0)
+    np.multiply(m01, a1, out=b1)
+    b0 += b1
+    np.multiply(m10, a0, out=b1)
+    a0[...] = b0
+    np.multiply(m11, a1, out=b0)
+    np.add(b1, b0, out=a1)
 
 
 def _simulate(
@@ -77,14 +123,29 @@ def _simulate(
     if n > cap:
         raise TooLarge(f"statevector capped at {cap} qubits, got {n}")
     dtype = np.complex128 if n <= 22 else np.complex64
-    state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=dtype)
     energies = pair_energy_vector(graph)
+    # |energy| <= reach, so each level's phase is a table of the 2 reach + 1
+    # values, gathered by energy + reach; the shift is made in place, and
+    # undone, so the index costs no memory of its own.  take buffers its
+    # output unless mode is "clip" (the indices are in range anyway).
+    reach = sum(abs(value) for value in graph.couplings.values())
+    levels = np.arange(-reach, reach + 1, dtype=np.int64)
+    energies += reach
+    state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=dtype)
+    scratch = np.empty_like(state)
     for gamma, beta in params.angles:
-        phases = np.exp((-1j * gamma * PHASE_SCALE) * energies)
-        state = state * phases.astype(state.dtype, copy=False)
-        mixer = _x_rotation(beta)
+        table = np.exp((-1j * gamma * PHASE_SCALE) * levels).astype(dtype, copy=False)
+        np.take(table, energies, out=scratch, mode="clip")
+        # numpy's complex multiply is not bitwise commutative: earlier releases
+        # multiplied complex128 states state first and complex64 ones phase
+        # first, and these orders keep their amplitudes bit for bit.
+        if dtype == np.complex128:
+            np.multiply(state, scratch, out=state)
+        else:
+            np.multiply(scratch, state, out=state)
         for bit in range(n):
-            _apply_1q(state, mixer, bit)
+            _rotate_x(state, beta, (bit,), scratch)
+    energies -= reach
     return state, energies
 
 
@@ -97,7 +158,10 @@ def simulate_state(
     """Evolve |+...+> through p levels of phase and mixer unitaries.
 
     Single precision is used above 22 qubits to halve the footprint; more
-    than 30 qubits raise ``TooLarge`` whatever ``cap_qubits`` says.
+    than 30 qubits raise ``TooLarge`` whatever ``cap_qubits`` says.  Besides
+    the result the run holds a scratch buffer as large and the int64 energies:
+    40 bytes per amplitude in double, 24 in single precision (24 GiB at 30
+    qubits).
     """
     state, _ = _simulate(graph, params, cap_qubits)
     return Statevector(qubit_ids=tuple(range(graph.n)), amplitudes=state)
@@ -122,12 +186,10 @@ def expectation(
 def z_expectations(state: Statevector) -> np.ndarray:
     """<Z_q> for each qubit of the state (order follows qubit_ids)."""
     probs = np.abs(state.amplitudes) ** 2
-    k = len(state.qubit_ids)
-    basis = np.arange(1 << k, dtype=np.int64)
-    out = np.empty(k, dtype=np.float64)
-    for t in range(k):
-        spins = 1 - 2 * ((basis >> t) & 1)
-        out[t] = float(probs @ spins)
+    out = np.empty(len(state.qubit_ids), dtype=np.float64)
+    for t in range(len(out)):
+        pairs = probs.reshape(-1, 2, 1 << t)
+        out[t] = (pairs[:, 0, :] - pairs[:, 1, :]).sum()
     return out
 
 

@@ -4,11 +4,15 @@ The two frozen literals below were produced by standalone dense linear
 algebra (explicit Kronecker products, no package code); the circuit under
 test must reproduce them.
 """
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from paintshop import (
+    CouplingGraph,
     DegenerateBaseline,
     QaoaParams,
     TooLarge,
@@ -29,7 +33,7 @@ from paintshop import (
     validate,
     z_expectations,
 )
-from paintshop.qaoa import statevector
+from paintshop.qaoa import Statevector, pair_energy_vector, statevector
 
 # independently recomputed dense references (see module docstring)
 PAIR_WORD = [0, 1, 0, 1]          # single coupling J=-1
@@ -156,6 +160,116 @@ class TestStatevector:
         assert costs.shape == (64,)
         assert costs.min() >= 1
         assert costs.max() <= 2 * 6 - 1
+
+
+def _spin(index, qubit):
+    return 1 - 2 * ((index >> qubit) & 1)
+
+
+def _random_graph(rng, n, values=(-2, -1, 1, 2)):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    return CouplingGraph(n=n, couplings={e: int(rng.choice(values)) for e in pairs},
+                         constant=0)
+
+
+def _literal_energies(graph):
+    return np.array([
+        sum(val * _spin(x, i) * _spin(x, j) for (i, j), val in graph.couplings.items())
+        for x in range(1 << graph.n)
+    ], dtype=np.int64)
+
+
+def _on_qubit(mat, qubit, n):
+    """mat acting on index bit ``qubit`` of an n-qubit state (bit t = kron slot n-1-t)."""
+    out = np.eye(1)
+    for t in reversed(range(n)):
+        out = np.kron(out, mat if t == qubit else np.eye(2))
+    return out
+
+
+X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+class TestDenseKernels:
+    def test_energies_match_the_per_index_sum(self):
+        rng = np.random.default_rng(61)
+        graphs = [CouplingGraph(n=5, couplings={}, constant=0)]
+        graphs += [_random_graph(rng, n) for n in range(1, 13)]
+        graphs += [_random_graph(rng, n, values=(-2, 2)) for n in (2, 7, 11)]
+        for g in graphs:
+            got = pair_energy_vector(g)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _literal_energies(g))
+
+    def test_pair_key_order_does_not_matter(self):
+        g = _random_graph(np.random.default_rng(62), 8)
+        flipped = CouplingGraph(n=8, couplings={(j, i): v for (i, j), v in g.couplings.items()},
+                                constant=0)
+        assert np.array_equal(pair_energy_vector(flipped), _literal_energies(g))
+
+    @pytest.mark.parametrize("dtype, tol", [(np.complex128, 1e-12), (np.complex64, 1e-6)])
+    def test_rotation_matches_the_small_matrix(self, dtype, tol):
+        rng = np.random.default_rng(63)
+        n = 5
+        for bits in [(0,), (3,), (4,), (0, 1), (1, 4), (4, 2), (3, 0)]:
+            theta = float(rng.uniform(-np.pi, np.pi))
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            flip = np.eye(1 << n)
+            for b in bits:
+                flip = flip @ _on_qubit(X, b, n)
+            # exp(-i theta X_S): on one bit the 2x2 [[c, -is], [-is, c]], on two
+            # the 4x4 with -is on the anti-diagonal, here embedded by kron
+            op = np.cos(theta) * np.eye(1 << n) - 1j * np.sin(theta) * flip
+            state = psi.astype(dtype)
+            statevector._rotate_x(state, theta, bits, np.empty_like(state))
+            assert state.dtype == dtype
+            assert np.abs(state - op @ psi).max() <= tol
+
+    def test_simulate_state_matches_kron_products(self):
+        rng = np.random.default_rng(64)
+        for n in range(1, 7):
+            g = _random_graph(rng, n)
+            angles = tuple(tuple(float(a) for a in rng.uniform(-np.pi, np.pi, 2))
+                           for _ in range(int(rng.integers(1, 4))))
+            energies = _literal_energies(g)
+            psi = np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128)
+            for gamma, beta in angles:
+                rx = np.array([[np.cos(beta), -1j * np.sin(beta)],
+                               [-1j * np.sin(beta), np.cos(beta)]])
+                mixer = np.eye(1)
+                for _ in range(n):
+                    mixer = np.kron(mixer, rx)
+                psi = mixer @ (np.exp(-0.5j * gamma * energies) * psi)
+            got = simulate_state(g, QaoaParams(angles)).amplitudes
+            assert np.abs(got - psi).max() <= 1e-12
+
+    def test_z_expectations_match_the_exact_sum(self):
+        rng = np.random.default_rng(65)
+        for k in range(1, 11):
+            amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+            amps /= np.linalg.norm(amps)
+            probs = np.abs(amps) ** 2
+            x = np.arange(1 << k)
+            exact = [math.fsum(probs * _spin(x, t)) for t in range(k)]
+            got = z_expectations(Statevector(tuple(range(k)), amps))
+            assert np.abs(got - exact).max() <= 1e-15
+
+    def test_expectation_stays_within_its_stated_footprint(self):
+        # Per amplitude: the complex128 state and its scratch buffer (16 + 16)
+        # and the int64 energies (8); the readout holds the state, the
+        # energies, float64 probabilities and the float64 cast of the energies
+        # (16 + 8 + 8 + 8).  Both are 40 bytes.  256 KiB covers numpy's
+        # 8192-element iteration buffer, the O(m) phase tables and Python
+        # objects.
+        n = 18
+        g = to_ising(random_instance(n, instance_rng(66, 0)))
+        tracemalloc.start()
+        try:
+            expectation(g, tree_params(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**n + 256 * 1024
 
 
 class TestSampling:
