@@ -18,6 +18,7 @@ p * m two-qubit gates plus n * (p + 1) single-qubit gates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .core import TooLarge
 from .ising import CouplingGraph
 from .qaoa.params import PHASE_SCALE, QaoaParams
-from .qaoa.statevector import _MAX_QUBITS, Statevector, _apply_1q, _rotate_x
+from .qaoa.statevector import _MAX_QUBITS, Statevector, _phase_z, _rotate_x
 
 
 # Each gate kind once: its JSON qubit field ("qubits" holds a pair) and its
@@ -120,33 +121,13 @@ def gate_counts(circuit: NativeCircuit) -> GateCounts:
     return GateCounts(depth=circuit.depth, singles=circuit.depth - doubles, doubles=doubles)
 
 
-def _gate_matrix(gate: NativeGate) -> np.ndarray:
-    if gate.kind == "r":
-        theta, phi = gate.angles
-        c = np.cos(theta / 2)
-        s = np.sin(theta / 2)
-        return np.array(
-            [
-                [c, -1j * np.exp(-1j * phi) * s],
-                [-1j * np.exp(1j * phi) * s, c],
-            ],
-            dtype=np.complex128,
-        )
-    if gate.kind == "rz":
-        (theta,) = gate.angles
-        return np.array(
-            [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]],
-            dtype=np.complex128,
-        )
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
-
-
 def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevector:
     """Run the native circuit on |0...0>; more than 30 qubits raise TooLarge at any cap.
 
     Amplitudes are always complex128: 16 GiB at 30 qubits, and one scratch
-    buffer as large serves every gate.  R_XX(alpha) = exp(-i alpha/2 X_a X_b)
-    is the dense simulator's ``_rotate_x`` on two bits.
+    buffer as large serves every gate.  Each gate is a rotation by half its
+    angle about a Pauli axis: R(theta, phi) and R_XX(alpha) run on the dense
+    simulator's ``_rotate_x``, virtual RZ(theta) on ``_phase_z``.
     """
     n = circuit.n
     cap = min(cap_qubits, _MAX_QUBITS)
@@ -156,10 +137,12 @@ def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevec
     state[0] = 1.0
     scratch = np.empty_like(state)
     for gate in circuit.gates:
-        if gate.kind == "rxx":
-            _rotate_x(state, gate.angles[0] / 2, gate.qubits, scratch)
+        if gate.kind == "rz":
+            _phase_z(state, gate.angles[0] / 2, gate.qubits[0])
+        elif gate.kind in ("r", "rxx"):  # an R gate's second angle is its axis phase
+            _rotate_x(state, gate.angles[0] / 2, gate.qubits, scratch, *gate.angles[1:])
         else:
-            _apply_1q(state, _gate_matrix(gate).tolist(), gate.qubits[0], scratch)
+            raise ValueError(f"unknown gate kind {gate.kind!r}")
     return Statevector(qubit_ids=tuple(range(n)), amplitudes=state)
 
 
@@ -178,9 +161,26 @@ def circuit_to_json(circuit: NativeCircuit) -> dict:
 
 
 def circuit_from_json(obj: dict) -> NativeCircuit:
+    """Inverse of ``circuit_to_json``, coercing nothing: ValueError names a bad gate and field.
+
+    Qubits are ints in 0..n-1, an R_XX pair two distinct ones; angles finite ints or floats.
+    """
+    n = obj["n"]
+    if type(n) is not int or n < 0:  # type(True) is bool
+        raise ValueError(f"circuit n must be a non-negative int, got {n!r}")
     gates = []
-    for g in obj["gates"]:
-        qubit_key, angle_keys = _wire_fields(g["kind"])
-        qubits = tuple(g[qubit_key]) if qubit_key == "qubits" else (g[qubit_key],)
-        gates.append(NativeGate(g["kind"], qubits, tuple(g[k] for k in angle_keys)))
-    return NativeCircuit(n=int(obj["n"]), gates=tuple(gates))
+    for index, g in enumerate(obj["gates"]):
+        qubit_key, angle_keys = _wire_fields(g.get("kind"))
+        pair = qubit_key == "qubits"
+        qubits = g.get(qubit_key)
+        qubits = tuple(qubits) if pair and isinstance(qubits, list) else (qubits,)
+        angles = tuple(g.get(key) for key in angle_keys)
+        bad = [key for key, a in zip(angle_keys, angles)
+               if not (type(a) is int or isinstance(a, float) and math.isfinite(a))]
+        in_range = all(type(q) is int and 0 <= q < n for q in qubits)
+        if not in_range or len(set(qubits)) != len(qubits) or len(qubits) != 1 + pair:
+            bad.insert(0, qubit_key)
+        if bad:
+            raise ValueError(f"gate {index} ({g['kind']}): bad {bad[0]!r}: {g.get(bad[0])!r}")
+        gates.append(NativeGate(g["kind"], qubits, angles))
+    return NativeCircuit(n=n, gates=tuple(gates))

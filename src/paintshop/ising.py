@@ -237,16 +237,19 @@ def apply_gauge(graph: CouplingGraph, flips: frozenset | set) -> CouplingGraph:
 
 def graph_to_json(graph: CouplingGraph) -> dict:
     """Stable JSON form: {"n": ..., "couplings": [[i, j, J], ...], "constant": ...}."""
-    return {
-        "n": graph.n,
-        "couplings": [
-            [int(i), int(j), int(graph.couplings[(i, j)])]
-            for i, j in sorted(graph.couplings)
-        ],
-        "constant": graph.constant,
-    }
+    couplings = [[int(i), int(j), int(v)] for (i, j), v in sorted(graph.couplings.items())]
+    return {"n": graph.n, "couplings": couplings, "constant": graph.constant}
 
 
 def graph_from_json(obj: dict) -> CouplingGraph:
-    couplings = {(int(i), int(j)): int(v) for i, j, v in obj["couplings"]}
-    return CouplingGraph(n=int(obj["n"]), couplings=couplings, constant=int(obj["constant"]))
+    """Inverse of ``graph_to_json``, coercing nothing: anything else raises ValueError."""
+    n, constant, couplings = obj["n"], obj["constant"], {}
+    if type(n) is not int or n < 0 or type(constant) is not int:  # type(True) is bool
+        raise ValueError(f"graph n and constant must be ints, n >= 0: got {n!r}, {constant!r}")
+    for index, entry in enumerate(obj["couplings"]):
+        if not isinstance(entry, list) or list(map(type, entry)) != [int] * 3 or not (
+            0 <= entry[0] < entry[1] < n and (entry[0], entry[1]) not in couplings
+        ):
+            raise ValueError(f"coupling {index}: want new [i, j, J] ints, i < j < n: {entry!r}")
+        couplings[entry[0], entry[1]] = entry[2]
+    return CouplingGraph(n=n, couplings=couplings, constant=constant)

@@ -91,7 +91,7 @@ def lightcone_support(graph: CouplingGraph, edge: tuple, p: int) -> LightconeTas
 
 
 def _corr_statevector(adjacency, edge, support, params) -> float:
-    """<Z_i Z_j> from the dense simulator on the support."""
+    """<Z_i Z_j> from the dense simulator on the support, in 40 bytes per amplitude."""
     index = {q: t for t, q in enumerate(sorted(support))}
     k = len(index)
     included = _included_edges(adjacency, index)
@@ -99,9 +99,11 @@ def _corr_statevector(adjacency, edge, support, params) -> float:
     graph = CouplingGraph(n=k, couplings=local, constant=0)
     state = simulate_state(graph, params, cap_qubits=k)
     probs = np.abs(state.amplitudes) ** 2
-    basis = np.arange(1 << k, dtype=np.int64)
-    i, j = edge
-    spins = (1 - 2 * ((basis >> index[i]) & 1)) * (1 - 2 * ((basis >> index[j]) & 1))
+    # s_i s_j: -1 on the two quarters of the index where bits i and j differ
+    lo, hi = sorted(index[q] for q in edge)
+    spins = np.ones(1 << k)
+    quarters = spins.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    quarters[:, 0, :, 1] = quarters[:, 1, :, 0] = -1
     return float(probs @ spins)
 
 

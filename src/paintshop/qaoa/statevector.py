@@ -6,6 +6,7 @@ bits, spins, and colorings convert without reordering.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +76,14 @@ def pair_energy_vector(graph: CouplingGraph) -> np.ndarray:
     return energies
 
 
-def _rotate_x(state: np.ndarray, theta: float, bits: tuple, scratch: np.ndarray) -> None:
-    """In place exp(-i theta X_S) = cos(theta) I - i sin(theta) X_S on one or two index bits S.
+def _rotate_x(state: np.ndarray, theta: float, bits: tuple, scratch: np.ndarray,
+              phi: float = 0.0) -> None:
+    """In place exp(-i theta P) = cos(theta) I - i sin(theta) P on one or two index bits S.
 
-    X_S psi is psi with the bits of S reversed, a view formed without a copy;
-    ``scratch`` (state-sized, same dtype) receives it scaled.
+    P is X_S, or on one bit cos(phi) X + sin(phi) Y.  X_S psi is psi with the
+    bits of S reversed, a view formed without a copy; ``scratch`` (state-sized,
+    same dtype) receives it scaled, its bit-0 half by e^{-i phi} and its bit-1
+    half by e^{+i phi}.
     """
     lo = min(bits)
     dims, flip = (2, 1 << lo), (slice(None), slice(None, None, -1))
@@ -87,31 +91,20 @@ def _rotate_x(state: np.ndarray, theta: float, bits: tuple, scratch: np.ndarray)
         dims, flip = (2, 1 << (max(bits) - lo - 1)) + dims, flip + flip
     t = state.reshape(-1, *dims)
     flipped = scratch.reshape(t.shape)
-    np.multiply(t[flip], complex(-1j * np.sin(theta)), out=flipped)
+    sin = complex(-1j * np.sin(theta))
+    if phi:
+        np.multiply(t[:, 1], sin * cmath.exp(-1j * phi), out=flipped[:, 0])
+        np.multiply(t[:, 0], sin * cmath.exp(1j * phi), out=flipped[:, 1])
+    else:
+        np.multiply(t[flip], sin, out=flipped)
     t *= float(np.cos(theta))
     t += flipped
 
 
-def _apply_1q(state: np.ndarray, mat, bit: int, scratch: np.ndarray) -> None:
-    """In-place 2x2 gate on the given index bit; ``scratch`` (state-sized) holds products.
-
-    ``mat`` = ((m00, m01), (m10, m11)) holds Python scalars, so single-precision
-    states stay single precision.
-    """
-    (m00, m01), (m10, m11) = mat
-    view = state.reshape(-1, 2, 1 << bit)
-    a0, a1 = view[:, 0, :], view[:, 1, :]
-    b0, b1 = scratch.reshape(2, *a0.shape)
-    # Every product is scalar first and written outside the state: numpy's
-    # complex multiply rounds differently when its operands swap, or when its
-    # output overlaps an input (in place on one element, or interleaved).
-    np.multiply(m00, a0, out=b0)
-    np.multiply(m01, a1, out=b1)
-    b0 += b1
-    np.multiply(m10, a0, out=b1)
-    a0[...] = b0
-    np.multiply(m11, a1, out=b0)
-    np.add(b1, b0, out=a1)
+def _phase_z(state: np.ndarray, theta: float, bit: int) -> None:
+    """In place exp(-i theta Z) on one index bit: its halves take e^{-i theta}, e^{i theta}."""
+    halves = state.reshape(-1, 2, 1 << bit)
+    halves *= np.array([[cmath.exp(-1j * theta)], [cmath.exp(1j * theta)]], dtype=state.dtype)
 
 
 def _simulate(

@@ -18,7 +18,7 @@ from paintshop import (
     to_ising,
     tree_params,
 )
-from paintshop.ioncompile import NativeCircuit, _gate_matrix, r, rxx, rz
+from paintshop.ioncompile import NativeCircuit, NativeGate, r, rxx, rz
 from paintshop.qaoa import QaoaParams
 
 
@@ -69,18 +69,25 @@ class TestStructure:
 
 class TestUnitaryEquivalence:
     def test_closing_pair_reproduces_mixer_after_basis_change(self):
-        # r(pi/2, pi/2) then r(2b-pi, 0) == global phase * exp(-i b X) H
+        # r(pi/2, pi/2) then r(2b-pi, 0) == global phase * exp(-i b X) H, both
+        # from the documented formulas and as simulated: the columns are the
+        # runs on |0> and on i r(pi, 0)|0> = |1>.
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         x = np.array([[0, 1], [1, 0]])
         for b in (-0.39269, 0.3, 1.1, 0.0):
             mixer = (
                 np.cos(b) * np.eye(2) - 1j * np.sin(b) * x
             ) @ h
-            native = _gate_matrix(r(0, 2 * b - np.pi, 0.0)) @ _gate_matrix(
-                r(0, np.pi / 2, np.pi / 2)
-            )
-            overlap = abs(np.trace(native.conj().T @ mixer)) / 2
-            assert overlap == pytest.approx(1.0, abs=1e-12)
+            pair = (r(0, np.pi / 2, np.pi / 2), r(0, 2 * b - np.pi, 0.0))
+            documented = kron_unitary(pair[1], 1) @ kron_unitary(pair[0], 1)
+            flip = (r(0, np.pi, 0.0),)
+            simulated = np.column_stack([
+                simulate_native(NativeCircuit(n=1, gates=pair)).amplitudes,
+                1j * simulate_native(NativeCircuit(n=1, gates=flip + pair)).amplitudes,
+            ])
+            for native in (documented, simulated):
+                overlap = abs(np.trace(native.conj().T @ mixer)) / 2
+                assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_angles_prepare_uniform_superposition(self):
         g = to_ising(random_instance(6, instance_rng(52, 0)))
@@ -154,13 +161,31 @@ class TestQubitCeiling:
 
 class TestGateMatrices:
     def test_rz_is_diagonal_virtual_rotation(self):
-        mat = _gate_matrix(rz(0, 1.3))
+        mat = kron_unitary(rz(0, 1.3), 1)
         assert mat[0, 1] == mat[1, 0] == 0
         assert mat[0, 0] == pytest.approx(np.exp(-1j * 0.65))
+        # simulated on |0> and on i r(pi, 0)|0> = |1>: only the phase moves
+        on_zero = simulate_native(NativeCircuit(n=1, gates=(rz(0, 1.3),))).amplitudes
+        assert on_zero[1] == 0
+        assert on_zero[0] == pytest.approx(np.exp(-1j * 0.65), abs=1e-15)
+        on_one = 1j * simulate_native(
+            NativeCircuit(n=1, gates=(r(0, np.pi, 0.0), rz(0, 1.3)))
+        ).amplitudes
+        assert np.abs(on_one - [0, np.exp(0.65j)]).max() <= 1e-15
 
     def test_r_half_angle_convention(self):
-        mat = _gate_matrix(r(0, np.pi, 0.0))  # full X rotation
+        mat = kron_unitary(r(0, np.pi, 0.0), 1)  # full X rotation
         assert np.allclose(mat, -1j * np.array([[0, 1], [1, 0]]))
+        # simulated: R(theta, phi)|0> = (cos(theta/2), -i e^{i phi} sin(theta/2))
+        for theta, phi in ((np.pi, 0.0), (np.pi / 2, 0.0), (np.pi, np.pi / 2), (0.7, -2.1)):
+            state = simulate_native(NativeCircuit(n=1, gates=(r(0, theta, phi),))).amplitudes
+            want = [np.cos(theta / 2), -1j * np.exp(1j * phi) * np.sin(theta / 2)]
+            assert np.abs(state - want).max() <= 1e-15
+
+    def test_directly_built_unknown_kind_is_rejected(self):
+        circ = NativeCircuit(n=2, gates=(NativeGate("cz", (0, 1), ()),))
+        with pytest.raises(ValueError, match="unknown gate kind 'cz'"):
+            simulate_native(circ)
 
 
 class TestWireFormat:
@@ -202,4 +227,25 @@ class TestWireFormat:
     def test_unknown_kind_is_rejected(self):
         obj = {"n": 2, "gates": [{"kind": "cz", "qubits": [0, 1]}]}
         with pytest.raises(ValueError, match="unknown gate kind 'cz'"):
+            circuit_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "gate, field",
+        [
+            ({"kind": "rxx", "qubits": [1, 1], "angle": 0.5}, "qubits"),
+            ({"kind": "rxx", "qubits": [0], "angle": 0.5}, "qubits"),
+            ({"kind": "rz", "qubit": -1, "theta": 0.5}, "qubit"),
+            ({"kind": "rz", "qubit": 4, "theta": 0.5}, "qubit"),
+            ({"kind": "rz", "qubit": True, "theta": 0.5}, "qubit"),
+            ({"kind": "rz", "qubit": 1, "theta": "0.3"}, "theta"),
+            ({"kind": "rz", "qubit": 1, "theta": False}, "theta"),
+            ({"kind": "rz", "qubit": 1}, "theta"),
+            ({"kind": "r", "qubit": 1, "theta": 0.5}, "phi"),
+        ],
+        ids=["rxx-same-qubit", "rxx-one-qubit", "negative-qubit", "qubit-beyond-n",
+             "bool-qubit", "str-angle", "bool-angle", "missing-theta", "missing-phi"],
+    )
+    def test_malformed_gate_is_rejected_when_parsed(self, gate, field):
+        obj = {"n": 2, "gates": [{"kind": "rz", "qubit": 0, "theta": 0.1}, gate]}
+        with pytest.raises(ValueError, match=f"gate 1 .*'{field}'"):
             circuit_from_json(obj)

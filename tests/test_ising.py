@@ -216,3 +216,28 @@ class TestGraphJson:
         assert back.n == g.n
         assert back.couplings == g.couplings
         assert back.constant == g.constant
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"couplings": [[0, 1, 1.7]]},
+            {"couplings": [[0, 1, "2"]]},
+            {"couplings": [[0, 1, True]]},
+            {"n": True},
+            {"n": 3.0},
+            {"constant": "1"},
+            {"couplings": [[0, 1, 1], [0, 1, -1]]},
+            {"couplings": [[1, 0, 1]]},
+            {"couplings": [[1, 1, 1]]},
+            {"couplings": [[0, 3, 1]]},
+            {"couplings": [[-1, 1, 1]]},
+            {"couplings": [[0, 1]]},
+        ],
+        ids=["float-J", "str-J", "bool-J", "bool-n", "float-n", "str-constant",
+             "repeated-pair", "reversed-pair", "self-pair", "id-beyond-n", "negative-id",
+             "short-entry"],
+    )
+    def test_rejects_what_it_would_coerce(self, change):
+        obj = {"n": 3, "couplings": [[0, 1, -2], [1, 2, 1]], "constant": 1, **change}
+        with pytest.raises(ValueError):
+            graph_from_json(obj)

@@ -1,4 +1,5 @@
 """Restricted-support evaluation against the full dense simulation."""
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -121,6 +122,24 @@ class TestEngines:
                     assert a == pytest.approx(b, abs=1e-12)
                     count += 1
         assert count > 50
+
+    def test_statevector_engine_stays_within_its_footprint(self):
+        # Per amplitude: the complex128 state, its scratch buffer and the int64
+        # energies while simulating (16 + 16 + 8); then the state, float64
+        # probabilities and float64 spins (16 + 8 + 8).  256 KiB covers numpy's
+        # 8192-element iteration buffer, the O(m) phase tables and Python
+        # objects.
+        k = 16
+        g = to_ising(random_instance(k, instance_rng(43, 0)))
+        support = dict.fromkeys(range(k))
+        tracemalloc.start()
+        try:
+            lightcone._corr_statevector(g.adjacency_lists(), min(g.couplings), support,
+                                        tree_params(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**k + 256 * 1024
 
     def test_unknown_engine(self):
         g = to_ising(random_instance(10, 0))

@@ -188,6 +188,8 @@ def _on_qubit(mat, qubit, n):
 
 
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 class TestDenseKernels:
@@ -211,17 +213,28 @@ class TestDenseKernels:
     def test_rotation_matches_the_small_matrix(self, dtype, tol):
         rng = np.random.default_rng(63)
         n = 5
-        for bits in [(0,), (3,), (4,), (0, 1), (1, 4), (4, 2), (3, 0)]:
+        # (bits, phi): the axis X_S, cos(phi) X + sin(phi) Y on one bit, or
+        # (phi None) Z through the phase kernel
+        cases = [((0,), 0.0), ((3,), 0.0), ((4,), 0.0), ((0, 1), 0.0), ((1, 4), 0.0),
+                 ((4, 2), 0.0), ((3, 0), 0.0), ((0,), 0.7), ((2,), np.pi / 2), ((4,), -2.1),
+                 ((0,), None), ((3,), None), ((4,), None)]
+        for bits, phi in cases:
             theta = float(rng.uniform(-np.pi, np.pi))
             psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            flip = np.eye(1 << n)
-            for b in bits:
-                flip = flip @ _on_qubit(X, b, n)
-            # exp(-i theta X_S): on one bit the 2x2 [[c, -is], [-is, c]], on two
-            # the 4x4 with -is on the anti-diagonal, here embedded by kron
-            op = np.cos(theta) * np.eye(1 << n) - 1j * np.sin(theta) * flip
+            if phi is None:
+                axis = _on_qubit(Z, bits[0], n)
+            else:
+                axis = np.eye(1 << n)
+                for b in bits:
+                    axis = axis @ _on_qubit(np.cos(phi) * X + np.sin(phi) * Y, b, n)
+            # exp(-i theta P): on one bit the 2x2 cos(theta) I - i sin(theta) P,
+            # on two the 4x4 with -is on the anti-diagonal, here embedded by kron
+            op = np.cos(theta) * np.eye(1 << n) - 1j * np.sin(theta) * axis
             state = psi.astype(dtype)
-            statevector._rotate_x(state, theta, bits, np.empty_like(state))
+            if phi is None:
+                statevector._phase_z(state, theta, bits[0])
+            else:
+                statevector._rotate_x(state, theta, bits, np.empty_like(state), phi)
             assert state.dtype == dtype
             assert np.abs(state - op @ psi).max() <= tol
 
