@@ -45,6 +45,17 @@ def _wire_fields(kind: str) -> tuple:
         raise ValueError(f"unknown gate kind {kind!r}") from None
 
 
+def _check_qubits(index: int, kind: str, qubits: tuple, n: int) -> None:
+    """ValueError naming the gate unless its qubits are ints in 0..n-1, one per wire."""
+    qubit_key, _ = _wire_fields(kind)
+    pair = qubit_key == "qubits"
+    in_range = all(isinstance(q, (int, np.integer)) and type(q) is not bool and 0 <= q < n
+                   for q in qubits)  # bool is an int subclass
+    if not in_range or len(set(qubits)) != len(qubits) or len(qubits) != 1 + pair:
+        wire = qubits[0] if len(qubits) == 1 and not pair else list(qubits)
+        raise ValueError(f"gate {index} ({kind}): bad {qubit_key!r}: {wire!r}")
+
+
 @dataclass(frozen=True)
 class NativeGate:
     kind: str
@@ -133,16 +144,16 @@ def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevec
     cap = min(cap_qubits, _MAX_QUBITS)
     if n > cap:
         raise TooLarge(f"native simulation capped at {cap} qubits, got {n}")
+    for index, gate in enumerate(circuit.gates):
+        _check_qubits(index, gate.kind, gate.qubits, n)
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
     scratch = np.empty_like(state)
     for gate in circuit.gates:
         if gate.kind == "rz":
             _phase_z(state, gate.angles[0] / 2, gate.qubits[0])
-        elif gate.kind in ("r", "rxx"):  # an R gate's second angle is its axis phase
+        else:  # an R gate's second angle is its axis phase
             _rotate_x(state, gate.angles[0] / 2, gate.qubits, scratch, *gate.angles[1:])
-        else:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
     return Statevector(qubit_ids=tuple(range(n)), amplitudes=state)
 
 
@@ -174,13 +185,10 @@ def circuit_from_json(obj: dict) -> NativeCircuit:
         pair = qubit_key == "qubits"
         qubits = g.get(qubit_key)
         qubits = tuple(qubits) if pair and isinstance(qubits, list) else (qubits,)
+        _check_qubits(index, g["kind"], qubits, n)
         angles = tuple(g.get(key) for key in angle_keys)
-        bad = [key for key, a in zip(angle_keys, angles)
-               if not (type(a) is int or isinstance(a, float) and math.isfinite(a))]
-        in_range = all(type(q) is int and 0 <= q < n for q in qubits)
-        if not in_range or len(set(qubits)) != len(qubits) or len(qubits) != 1 + pair:
-            bad.insert(0, qubit_key)
-        if bad:
-            raise ValueError(f"gate {index} ({g['kind']}): bad {bad[0]!r}: {g.get(bad[0])!r}")
+        for key, a in zip(angle_keys, angles):
+            if not (type(a) is int or isinstance(a, float) and math.isfinite(a)):
+                raise ValueError(f"gate {index} ({g['kind']}): bad {key!r}: {a!r}")
         gates.append(NativeGate(g["kind"], qubits, angles))
     return NativeCircuit(n=n, gates=tuple(gates))

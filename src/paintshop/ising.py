@@ -236,8 +236,15 @@ def apply_gauge(graph: CouplingGraph, flips: frozenset | set) -> CouplingGraph:
 
 
 def graph_to_json(graph: CouplingGraph) -> dict:
-    """Stable JSON form: {"n": ..., "couplings": [[i, j, J], ...], "constant": ...}."""
-    couplings = [[int(i), int(j), int(v)] for (i, j), v in sorted(graph.couplings.items())]
+    """Stable JSON form: {"n": ..., "couplings": [[i, j, J], ...], "constant": ...}.
+
+    Entries are sorted with i < j; keys naming one pair in both orders merge, as in
+    ``pair_energy_vector``.
+    """
+    merged = Counter()
+    for (i, j), v in graph.couplings.items():
+        merged[min(int(i), int(j)), max(int(i), int(j))] += int(v)
+    couplings = [[i, j, v] for (i, j), v in sorted(merged.items())]
     return {"n": graph.n, "couplings": couplings, "constant": graph.constant}
 
 

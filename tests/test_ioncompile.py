@@ -187,6 +187,21 @@ class TestGateMatrices:
         with pytest.raises(ValueError, match="unknown gate kind 'cz'"):
             simulate_native(circ)
 
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (rz(5, 0.1), r"gate 1 \(rz\): bad 'qubit': 5"),
+            (rxx(1, 1, 0.2), r"gate 1 \(rxx\): bad 'qubits': \[1, 1\]"),
+            (r(-1, 0.3, 0.0), r"gate 1 \(r\): bad 'qubit': -1"),
+            (NativeGate("rxx", (0,), (0.2,)), r"gate 1 \(rxx\): bad 'qubits': \[0\]"),
+        ],
+        ids=["rz-beyond-n", "rxx-same-qubit", "r-negative", "rxx-one-qubit"],
+    )
+    def test_directly_built_bad_qubits_are_rejected(self, gate, message):
+        circ = NativeCircuit(n=2, gates=(rz(0, 0.1), gate))
+        with pytest.raises(ValueError, match=message):
+            simulate_native(circ)
+
 
 class TestWireFormat:
     def test_json_schema_and_round_trip(self):

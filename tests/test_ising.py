@@ -217,6 +217,16 @@ class TestGraphJson:
         assert back.couplings == g.couplings
         assert back.constant == g.constant
 
+    def test_reversed_keys_round_trip(self):
+        g = CouplingGraph(n=3, couplings={(1, 0): 1, (2, 1): -2}, constant=1)
+        obj = graph_to_json(g)
+        assert obj["couplings"] == [[0, 1, 1], [1, 2, -2]]
+        back = graph_from_json(obj)
+        assert back.couplings == {(0, 1): 1, (1, 2): -2}
+        assert back.constant == 1
+        both = CouplingGraph(n=2, couplings={(0, 1): 1, (1, 0): 1}, constant=0)
+        assert graph_from_json(graph_to_json(both)).couplings == {(0, 1): 2}
+
     @pytest.mark.parametrize(
         "change",
         [

@@ -141,6 +141,59 @@ class TestEngines:
             tracemalloc.stop()
         assert peak <= 40 * 2**k + 256 * 1024
 
+    def test_traced_engine_never_holds_the_whole_density_matrix(self):
+        # Each 8-kept-qubit loopy lightcone of word 0 at p=2: the two core
+        # qubits keep row and column axes (4 axes); each of the six shell
+        # qubits adds two on entering and gives one back when its last mixer
+        # merges them, once every qubit it shares a coupling or a boundary
+        # qubit with is in.  On this word the tensor never has more than 13
+        # axes: 2^13 complex128 entries, 128 KiB.  Adding a qubit holds the old
+        # tensor (a quarter of the new one), the new one and numpy's iteration
+        # buffers, 8192 entries of 16 bytes for each of two broadcast operands:
+        # 32 + 128 + 256 = 416 KiB, and a few KiB of small arrays and Python
+        # objects.  1 MiB is the 4^8 density matrix alone.
+        params = tree_params(2)
+        g = to_ising(random_instance(300, instance_rng(102, 0)))
+        adjacency = g.adjacency_lists()
+        peaks = []
+        for edge in sorted(g.couplings):
+            dist = lightcone._distances(adjacency, edge, 2)
+            if (sum(d < 2 for d in dist.values()) != 8
+                    or lightcone._tree_key(adjacency, edge, dist, 2) is not None):
+                continue
+            tracemalloc.start()
+            try:
+                lightcone._corr_traced(adjacency, dist, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(peaks) > 100
+        assert max(peaks) <= 1 << 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 9), p=st.integers(1, 3))
+    def test_elimination_order_does_not_change_the_value(self, data, n, p):
+        """Relabelled qubits and reversed adjacency lists make the qubits enter
+        and merge in another order."""
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # n couplings on n qubits always close a loop
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True))
+        couplings = {e: data.draw(st.sampled_from([-2, -1, 1, 2])) for e in chosen}
+        angle = st.floats(-np.pi, np.pi, allow_nan=False)
+        params = QaoaParams(tuple((data.draw(angle), data.draw(angle)) for _ in range(p)))
+        perm = data.draw(st.permutations(range(n)))
+        g = CouplingGraph(n=n, couplings=couplings, constant=0)
+        moved = CouplingGraph(n=n, couplings={
+            tuple(sorted((perm[a], perm[b]))): val for (a, b), val in couplings.items()
+        }, constant=0)
+        reversed_adjacency = [nbrs[::-1] for nbrs in moved.adjacency_lists()]
+        for a, b in sorted(couplings):
+            corr = edge_correlation(g, (a, b), params, engine="traced")
+            image = tuple(sorted((perm[a], perm[b])))
+            other = edge_correlation(moved, image, params, engine="traced",
+                                     _adjacency=reversed_adjacency)
+            assert other == pytest.approx(corr, abs=1e-12)
+
     def test_unknown_engine(self):
         g = to_ising(random_instance(10, 0))
         with pytest.raises(ValueError):
