@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -58,12 +59,18 @@ class CouplingGraph:
         values = np.array([self.couplings[k] for k in keys], dtype=np.int64)
         return pairs, values
 
-    def adjacency_lists(self) -> list[list[tuple[int, int]]]:
+    def adjacency_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each qubit's (neighbour, coupling) pairs, built once per graph:
+        ``couplings`` is not changed after construction."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for (i, j), val in self.couplings.items():
             adj[i].append((j, val))
             adj[j].append((i, val))
-        return adj
+        return tuple(map(tuple, adj))
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)

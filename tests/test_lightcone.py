@@ -46,6 +46,13 @@ HAND_BUILT = CouplingGraph(n=10, couplings={
 }, constant=0)
 
 
+def is_tree(adjacency, dist, p):
+    """Whether the couplings acting on the lightcone (those with an endpoint
+    at distance < p) form a tree on its support."""
+    acting = {tuple(sorted((u, v))) for u in dist if dist[u] < p for v, _ in adjacency[u]}
+    return len(acting) == len(dist) - 1
+
+
 def reference_ball(couplings, edge, radius):
     """Independent breadth-first ball around the edge's endpoints."""
     adj = {}
@@ -97,6 +104,22 @@ class TestSupport:
                         e for e in g.couplings if e[0] in support and e[1] in support
                     )
                     assert list(task.included_edges) == expected
+
+    def test_public_calls_build_the_adjacency_once(self):
+        class CountedCouplings(dict):
+            passes = 0
+
+            def items(self):
+                self.passes += 1
+                return super().items()
+
+        word = to_ising(random_instance(60, instance_rng(41, 400)))
+        couplings = CountedCouplings(word.couplings)
+        g = CouplingGraph(n=word.n, couplings=couplings, constant=word.constant)
+        for edge in sorted(couplings):
+            lightcone_support(g, edge, 2)
+            edge_correlation(g, edge, tree_params(1))
+        assert couplings.passes == 1
 
     def test_cap_raises(self):
         g = to_ising(random_instance(200, instance_rng(41, 300)))
@@ -158,8 +181,7 @@ class TestEngines:
         peaks = []
         for edge in sorted(g.couplings):
             dist = lightcone._distances(adjacency, edge, 2)
-            if (sum(d < 2 for d in dist.values()) != 8
-                    or lightcone._tree_key(adjacency, edge, dist, 2) is not None):
+            if sum(d < 2 for d in dist.values()) != 8 or is_tree(adjacency, dist, 2):
                 continue
             tracemalloc.start()
             try:
@@ -318,46 +340,62 @@ def random_tree(rng, n):
     }, constant=0)
 
 
-def tree_key(graph, edge, p):
+def count_engine_runs(monkeypatch):
+    """List that records the coupling of every engine run from here on."""
+    runs, run_engine = [], lightcone._run_engine
+
+    def counted(adjacency, edge, *args):
+        runs.append(edge)
+        return run_engine(adjacency, edge, *args)
+
+    monkeypatch.setattr(lightcone, "_run_engine", counted)
+    return runs
+
+
+def memo_key(graph, edge, p):
     adjacency = graph.adjacency_lists()
-    return lightcone._tree_key(adjacency, edge, lightcone._distances(adjacency, edge, p), p)
+    return lightcone._memo_key(adjacency, edge, lightcone._distances(adjacency, edge, p), p)
 
 
 #: A path 0-1-...-12 with one triangle 12-13-14 at its end, couplings of
 #: both signs.  Tree lightcones at p=1: the end coupling (0, 1), the
 #: interior ones and (11, 12); at p=2: (0, 1), (1, 2), the interior ones and
-#: (10, 11), for which 13-14 joins two boundary qubits.  The rest see the loop.
+#: (10, 11), for which 13-14 joins two boundary qubits.  The rest see the loop;
+#: of them (12, 13) and (12, 14) are one lightcone up to swapping 13 and 14
+#: and a gauge (flip 13: the triangle's couplings are then all +1).
 PATH_WITH_TRIANGLE = CouplingGraph(n=15, couplings={
     **{(k, k + 1): (-1) ** (k * k // 3) for k in range(12)},
     (12, 13): -1, (12, 14): 1, (13, 14): -1,
 }, constant=3)
 
 
-class TestTreeMemo:
-    def check(self, graph, params):
-        free = free_correlations(graph, params)
-        for edge, corr in memoized_correlations(graph, params).items():
-            assert corr == pytest.approx(free[edge], abs=1e-12)
-        total = lightcone_expectation(graph, params).mean_adjacency_energy
-        assert total == pytest.approx(memo_free(graph, params, free), abs=1e-12)
+def check_memo(graph, params):
+    """Memoized against memo-free, per coupling and in total, to 1e-12."""
+    free = free_correlations(graph, params)
+    for edge, corr in memoized_correlations(graph, params).items():
+        assert corr == pytest.approx(free[edge], abs=1e-12)
+    total = lightcone_expectation(graph, params).mean_adjacency_energy
+    assert total == pytest.approx(memo_free(graph, params, free), abs=1e-12)
 
+
+class TestTreeMemo:
     @pytest.mark.parametrize("p, n", [(1, 40), (2, 30), (3, 14)])
     def test_random_words_match_memo_free(self, p, n):
         for k in range(3):
-            self.check(to_ising(random_instance(n, instance_rng(46, k))), tree_params(p))
+            check_memo(to_ising(random_instance(n, instance_rng(46, k))), tree_params(p))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_hard_instances_match_memo_free(self, p):
         for n in (2, 5, 12, 30):
-            self.check(to_ising(hard_instance(n)), tree_params(p))
+            check_memo(to_ising(hard_instance(n)), tree_params(p))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_hand_built_trees_match_memo_free(self, p):
         rng = np.random.default_rng(47)
         for n in (2, 7, 15, 24):
-            self.check(random_tree(rng, n), tree_params(p))
-        self.check(PATH_WITH_TRIANGLE, tree_params(p))
-        self.check(HAND_BUILT, tree_params(p))
+            check_memo(random_tree(rng, n), tree_params(p))
+        check_memo(PATH_WITH_TRIANGLE, tree_params(p))
+        check_memo(HAND_BUILT, tree_params(p))
 
     def test_coupling_strength_is_part_of_the_key(self):
         """(0, 1) and (3, 4) have the same halves, one bare end and one
@@ -366,25 +404,22 @@ class TestTreeMemo:
             (0, 1): 1, (1, 2): 1, (3, 4): 2, (4, 5): 1,
         }, constant=0)
         params = tree_params(1)
-        assert tree_key(graph, (0, 1), 1) != tree_key(graph, (3, 4), 1)
+        assert memo_key(graph, (0, 1), 1) != memo_key(graph, (3, 4), 1)
         corr = memoized_correlations(graph, params)
         assert corr[(0, 1)] != pytest.approx(corr[(3, 4)], abs=1e-3)
-        self.check(graph, params)
+        check_memo(graph, params)
 
-    @pytest.mark.parametrize("p, runs", [(1, 3 + 3), (2, 4 + 4)])
-    def test_one_engine_run_per_tree_shape(self, monkeypatch, p, runs):
-        engine_edges, public_edges = [], []
-        run_engine, public = lightcone._run_engine, lightcone.edge_correlation
-
-        def counted_engine(adjacency, edge, *args):
-            engine_edges.append(edge)
-            return run_engine(adjacency, edge, *args)
+    # Tree shapes plus loopy lightcones: at p=1, {(12, 13), (12, 14)} and
+    # (13, 14); at p=2 also (11, 12), whose ball now holds the triangle.
+    @pytest.mark.parametrize("p, runs", [(1, 3 + 2), (2, 4 + 3)])
+    def test_one_engine_run_per_lightcone_shape(self, monkeypatch, p, runs):
+        engine_edges, public_edges = count_engine_runs(monkeypatch), []
+        public = lightcone.edge_correlation
 
         def counted_public(graph, edge, *args, **kwargs):
             public_edges.append(edge)
             return public(graph, edge, *args, **kwargs)
 
-        monkeypatch.setattr(lightcone, "_run_engine", counted_engine)
         monkeypatch.setattr(lightcone, "edge_correlation", counted_public)
         params = tree_params(p)
         total = lightcone_expectation(PATH_WITH_TRIANGLE, params).mean_adjacency_energy
@@ -400,15 +435,14 @@ class TestTreeMemo:
         rng = np.random.default_rng(seed)
         graph = random_tree(rng, n)
         edge = sorted(graph.couplings)[int(rng.integers(len(graph.couplings)))]
-        key = tree_key(graph, edge, p)
-        assert key is not None
+        key = memo_key(graph, edge, p)
 
         flips = {q for q in range(n) if rng.random() < 0.5}
         perm = rng.permutation(n)
         moved = {tuple(sorted((int(perm[a]), int(perm[b])))): val
                  for (a, b), val in apply_gauge(graph, flips).couplings.items()}
         image = tuple(sorted((int(perm[edge[0]]), int(perm[edge[1]]))))
-        assert tree_key(CouplingGraph(n=n, couplings=moved, constant=0), image, p) == key
+        assert memo_key(CouplingGraph(n=n, couplings=moved, constant=0), image, p) == key
 
         i, j = edge
         loops = [{(i, n): 1, (j, n): -1}]  # a triangle through the coupling
@@ -417,11 +451,120 @@ class TestTreeMemo:
         for extra in loops:
             loopy = CouplingGraph(n=n + 2, couplings={**graph.couplings, **extra},
                                   constant=0)
-            assert tree_key(loopy, edge, p) is None
+            assert memo_key(loopy, edge, p) != key
 
         dist = lightcone._distances(graph.adjacency_lists(), edge, p)
         acting = [e for e in graph.couplings if min(dist.get(q, p) for q in e) < p]
         changed = acting[int(rng.integers(len(acting)))]
         other = dict(graph.couplings)
         other[changed] = 3 - abs(other[changed])
-        assert tree_key(CouplingGraph(n=n, couplings=other, constant=0), edge, p) != key
+        assert memo_key(CouplingGraph(n=n, couplings=other, constant=0), edge, p) != key
+
+
+def gauge_copy(graph, flips, offset):
+    """The graph's couplings, gauge-flipped on ``flips`` and moved up by ``offset``."""
+    return {(a + offset, b + offset): val
+            for (a, b), val in apply_gauge(graph, flips).couplings.items()}
+
+
+class TestLoopyMemo:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_cycle_sign_is_part_of_the_key(self, p):
+        """A triangle and a square through (0, 1), with the product of their
+        couplings +1 and -1.  At p=1 the square's far side joins two boundary
+        qubits and no longer acts."""
+        cycles = [[(0, 1), (1, 2), (0, 2)]]
+        if p >= 2:
+            cycles.append([(0, 1), (1, 3), (2, 3), (0, 2)])
+        for cycle in cycles:
+            keys, values = [], []
+            for last in (1, -1):
+                graph = CouplingGraph(n=4, couplings={
+                    **dict.fromkeys(cycle[:-1], 1), cycle[-1]: last,
+                }, constant=0)
+                keys.append(memo_key(graph, (0, 1), p))
+                values.append(edge_correlation(graph, (0, 1), tree_params(p)))
+            assert keys[0] != keys[1]
+            assert values[0] != pytest.approx(values[1], abs=1e-3)
+
+    def test_shared_boundary_qubit_is_part_of_the_key(self):
+        """At p=2, shell qubits 3 (off 0, on the loop 0-2-3) and 4 (off 1) reach
+        the boundary through one shared qubit 5 or two separate ones, 5 and 6,
+        by couplings of the same |J|."""
+        loop = {(0, 1): 1, (0, 2): 1, (0, 3): -1, (2, 3): 2, (1, 4): 1}
+        shared = CouplingGraph(n=7, couplings={**loop, (3, 5): 1, (4, 5): 2}, constant=0)
+        apart = CouplingGraph(n=7, couplings={**loop, (3, 5): 1, (4, 6): 2}, constant=0)
+        assert memo_key(shared, (0, 1), 2) != memo_key(apart, (0, 1), 2)
+        params = tree_params(2)
+        assert edge_correlation(shared, (0, 1), params) != pytest.approx(
+            edge_correlation(apart, (0, 1), params), abs=1e-3)
+        union = CouplingGraph(n=14, couplings={
+            **shared.couplings, **gauge_copy(apart, set(), 7)}, constant=0)
+        check_memo(union, params)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_shifted_gauge_flipped_copy_costs_no_engine_run(self, monkeypatch, p):
+        """Next to HAND_BUILT, a copy of it on qubits 10..19 with some spins
+        flipped: each lightcone of the copy hits the memo."""
+        params = tree_params(p)
+        runs = count_engine_runs(monkeypatch)
+        alone = lightcone_expectation(HAND_BUILT, params).mean_adjacency_energy
+        alone_runs = len(runs)
+        runs.clear()
+        union = CouplingGraph(n=20, couplings={
+            **HAND_BUILT.couplings, **gauge_copy(HAND_BUILT, {0, 3, 4, 9}, 10),
+        }, constant=0)
+        both = lightcone_expectation(union, params).mean_adjacency_energy
+        assert len(runs) == alone_runs
+        assert both == pytest.approx(2 * alone, abs=1e-12)
+        check_memo(union, params)
+
+    @pytest.mark.parametrize("original, renumbered", [
+        # qubit 0 of a triangle has two bare ends, coupled by |J| = 1 and 2
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 1, (0, 4): 2},
+         {(10, 11): 1, (10, 12): 1, (11, 12): 1, (10, 13): 2, (10, 14): 1}),
+        # qubit 0 reaches a boundary qubit it shares with 1 and a bare end;
+        # 1 has two more bare ends, so the search starts at 0
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 1, (1, 4): 1, (1, 5): 1},
+         {(10, 11): 1, (10, 13): 1, (11, 13): 1, (10, 12): 1, (11, 14): 1, (11, 15): 1}),
+    ], ids=["coupling-strength", "shared-boundary"])
+    def test_renumbered_copy_costs_no_engine_run(self, monkeypatch, original, renumbered):
+        """A copy on qubits 10.. that numbers two neighbours of qubit 0 the
+        other way round: the search must order them by |J| and code, not by
+        qubit, for the copy to hit the memo at p=1."""
+        params = tree_params(1)
+        runs = count_engine_runs(monkeypatch)
+        lightcone_expectation(CouplingGraph(n=10, couplings=original, constant=0), params)
+        alone_runs = len(runs)
+        runs.clear()
+        union = CouplingGraph(n=20, couplings={**original, **renumbered}, constant=0)
+        lightcone_expectation(union, params)
+        assert len(runs) == alone_runs
+        check_memo(union, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 9), p=st.integers(1, 3))
+    def test_memo_matches_memo_free_on_random_loopy_graphs(self, data, n, p):
+        """A random loopy graph beside a relabelled, gauge-flipped copy of
+        itself, so that lightcones can hit the memo across the two."""
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # n couplings on n qubits always close a loop
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True))
+        couplings = {e: data.draw(st.sampled_from([-2, -1, 1, 2])) for e in chosen}
+        angle = st.floats(-np.pi, np.pi, allow_nan=False)
+        params = QaoaParams(tuple((data.draw(angle), data.draw(angle)) for _ in range(p)))
+        perm = data.draw(st.permutations(range(n)))
+        flips = set(data.draw(st.lists(st.integers(0, n - 1))))
+        graph = CouplingGraph(n=n, couplings=couplings, constant=0)
+        moved = CouplingGraph(n=n, couplings={
+            tuple(sorted((perm[a], perm[b]))): val
+            for (a, b), val in apply_gauge(graph, flips).couplings.items()
+        }, constant=0)
+        union = CouplingGraph(n=2 * n, couplings={
+            **couplings, **gauge_copy(moved, set(), n)}, constant=0)
+        check_memo(union, params)
+
+    def test_table1_p2_word_matches_memo_free(self):
+        """Word 0 of table1-p2 (seed 102, n=300), where most loopy lightcones hit."""
+        graph = to_ising(random_instance(300, instance_rng(102, 0)))
+        check_memo(graph, tree_params(2))
