@@ -224,6 +224,21 @@ def brute_force_opt(instance: BpspInstance, cap_cars: int = 24) -> OracleResult:
     )
 
 
+def json_fields(obj, **types) -> tuple:
+    """The named fields of a JSON object, BadRecord (a ValueError) unless ``obj``
+    is a dict holding each; a type other than None must match exactly (no bool
+    for an int)."""
+    if not isinstance(obj, dict):
+        raise BadRecord(f"expected a JSON object, got {type(obj).__name__}")
+    for key, kind in types.items():
+        if key not in obj:
+            raise BadRecord(f"missing key {key!r}")
+        if kind is not None and type(obj[key]) is not kind:
+            want = {int: "an integer", list: "a list"}[kind]
+            raise BadRecord(f'"{key}" must be {want}, got {json.dumps(obj[key], default=repr)}')
+    return tuple(obj[key] for key in types)
+
+
 def read_jsonl(path: str | Path) -> list[BpspInstance]:
     """Read instances from JSON lines of {"n": ..., "sequence": [...]}."""
     instances = []
@@ -234,31 +249,18 @@ def read_jsonl(path: str | Path) -> list[BpspInstance]:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    n, sequence = json_fields(json.loads(line), n=int, sequence=None)
                 except json.JSONDecodeError as exc:
-                    raise BadRecord(
-                        f"line {lineno}: {exc.msg} at column {exc.colno}"
-                    ) from None
-                except (ValueError, RecursionError) as exc:  # too long an int, too deep
+                    raise BadRecord(f"line {lineno}: {exc.msg} at column {exc.colno}") from None
+                except (ValueError, RecursionError) as exc:  # BadRecord, too long an int, too deep
                     raise BadRecord(f"line {lineno}: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise BadRecord(
-                        f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
-                    )
-                for key in ("n", "sequence"):
-                    if key not in obj:
-                        raise BadRecord(f"line {lineno}: missing key {key!r}")
-                if type(obj["n"]) is not int:  # also rejects true: bool subclasses int
-                    got = json.dumps(obj["n"])
-                    raise BadRecord(f'line {lineno}: "n" must be an integer, got {got}')
                 try:
-                    inst = validate(obj["sequence"])
+                    inst = validate(sequence)
                 except (WrongMultiplicity, BadIdentifier) as exc:
                     raise type(exc)(f"line {lineno}: {exc}") from None
-                if inst.n != obj["n"]:
+                if inst.n != n:
                     raise WrongMultiplicity(
-                        f"line {lineno}: declared n={obj['n']} "
-                        f"but sequence has {inst.n} cars"
+                        f"line {lineno}: declared n={n} but sequence has {inst.n} cars"
                     )
                 instances.append(inst)
         except UnicodeDecodeError as exc:

@@ -26,6 +26,7 @@ from .qaoa import (
     simulate_state,
     tree_params,
 )
+from .qaoa.lightcone import SUPPORT_CAP
 
 #: Fixed master seeds so default runs are reproducible end to end.
 DEFAULT_SEEDS = {
@@ -50,7 +51,7 @@ def run_table1(
     count: int | None = None,
     seed: int | None = None,
     *,
-    support_cap: int = 26,
+    support_cap: int = SUPPORT_CAP,
 ) -> tuple[list, dict]:
     """Mean cost per car of the fixed schedule at depth p, via lightcones."""
     name = f"table1-p{p}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TooLarge
+from .core import TooLarge, json_fields
 from .ising import CouplingGraph
 from .qaoa.params import PHASE_SCALE, QaoaParams
 from .qaoa.statevector import _MAX_QUBITS, Statevector, _phase_z, _rotate_x
@@ -41,7 +41,7 @@ _WIRE_FIELDS = {
 def _wire_fields(kind: str) -> tuple:
     try:
         return _WIRE_FIELDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
         raise ValueError(f"unknown gate kind {kind!r}") from None
 
 
@@ -135,10 +135,10 @@ def gate_counts(circuit: NativeCircuit) -> GateCounts:
 def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevector:
     """Run the native circuit on |0...0>; more than 30 qubits raise TooLarge at any cap.
 
-    Amplitudes are always complex128: 16 GiB at 30 qubits, and one scratch
-    buffer as large serves every gate.  Each gate is a rotation by half its
-    angle about a Pauli axis: R(theta, phi) and R_XX(alpha) run on the dense
-    simulator's ``_rotate_x``, virtual RZ(theta) on ``_phase_z``.
+    Amplitudes are complex128 (footprint beside ``_MAX_QUBITS``).  Each gate
+    is a rotation by half its angle about a Pauli axis: R(theta, phi) and
+    R_XX(alpha) run on the dense simulator's ``_rotate_x``, virtual RZ(theta)
+    on ``_phase_z``.
     """
     n = circuit.n
     cap = min(cap_qubits, _MAX_QUBITS)
@@ -176,11 +176,13 @@ def circuit_from_json(obj: dict) -> NativeCircuit:
 
     Qubits are ints in 0..n-1, an R_XX pair two distinct ones; angles finite ints or floats.
     """
-    n = obj["n"]
-    if type(n) is not int or n < 0:  # type(True) is bool
+    n, entries = json_fields(obj, n=int, gates=list)
+    if n < 0:
         raise ValueError(f"circuit n must be a non-negative int, got {n!r}")
     gates = []
-    for index, g in enumerate(obj["gates"]):
+    for index, g in enumerate(entries):
+        if not isinstance(g, dict):
+            raise ValueError(f"gate {index}: want a JSON object, got {g!r}")
         qubit_key, angle_keys = _wire_fields(g.get("kind"))
         pair = qubit_key == "qubits"
         qubits = g.get(qubit_key)

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BpspInstance, Coloring
+from .core import BpspInstance, Coloring, json_fields
 
 
 class NotATree(ValueError):
@@ -257,10 +257,11 @@ def graph_to_json(graph: CouplingGraph) -> dict:
 
 def graph_from_json(obj: dict) -> CouplingGraph:
     """Inverse of ``graph_to_json``, coercing nothing: anything else raises ValueError."""
-    n, constant, couplings = obj["n"], obj["constant"], {}
-    if type(n) is not int or n < 0 or type(constant) is not int:  # type(True) is bool
-        raise ValueError(f"graph n and constant must be ints, n >= 0: got {n!r}, {constant!r}")
-    for index, entry in enumerate(obj["couplings"]):
+    n, constant, entries = json_fields(obj, n=int, constant=int, couplings=list)
+    if n < 0:
+        raise ValueError(f"graph n must be >= 0, got {n}")
+    couplings = {}
+    for index, entry in enumerate(entries):
         if not isinstance(entry, list) or list(map(type, entry)) != [int] * 3 or not (
             0 <= entry[0] < entry[1] < n and (entry[0], entry[1]) not in couplings
         ):

@@ -8,8 +8,10 @@ ever building the full statevector, so instance size is limited by coupling
 degrees rather than qubit count.
 
 One breadth-first search per coupling records each qubit's distance from
-the edge, up to p: distance <= p is the support (checked against the cap),
-distance < p the kept ball, distance exactly p its boundary.
+the edge, up to p: distance <= p is the support, checked against the cap
+(``SUPPORT_CAP`` unless given, clipped at the dense simulator's 30 qubits
+whatever the caller asks), distance < p the kept ball, distance exactly p
+its boundary.
 
 Two exact evaluation engines sit behind the contract:
 
@@ -30,8 +32,9 @@ Two exact evaluation engines sit behind the contract:
   support (the generic case on the near-4-regular graphs of large random
   words).
 
-The automatic choice compares 4^|kept| with 2^|support|; the first is now
-an upper bound on the traced state rather than its size.
+The automatic choice runs the traced engine when 4^|kept|, an upper bound
+on its tensor, is below 2^|support|, so under the clipped cap neither
+engine holds more than 2^30 entries.
 
 ``lightcone_expectation`` memoizes every lightcone for one call, storing
 sign(J_ij) <Z_i Z_j>: only couplings with an endpoint in the kept ball act
@@ -62,7 +65,10 @@ import numpy as np
 
 from ..ising import CouplingGraph
 from .params import PHASE_SCALE, QaoaParams
-from .statevector import EnergySummary, simulate_state
+from .statevector import _MAX_QUBITS, EnergySummary, simulate_state
+
+#: Default qubit cap on a lightcone's support.
+SUPPORT_CAP = 26
 
 
 class SupportTooLarge(ValueError):
@@ -212,7 +218,7 @@ def edge_correlation(
     edge: tuple,
     params: QaoaParams,
     *,
-    support_cap: int = 26,
+    support_cap: int = SUPPORT_CAP,
     engine: str = "auto",
     _adjacency=None,
     _memo=None,
@@ -222,11 +228,9 @@ def edge_correlation(
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency
     p = params.p
     dist = _distances(adjacency, edge, p)
-    size = len(dist)
-    if size > support_cap:
-        raise SupportTooLarge(
-            f"support of {edge} has {size} qubits, cap is {support_cap}"
-        )
+    size, cap = len(dist), min(support_cap, _MAX_QUBITS)
+    if size > cap:
+        raise SupportTooLarge(f"support of {edge} has {size} qubits, cap is {cap}")
     if _memo is None or engine != "auto":
         return _run_engine(adjacency, edge, dist, params, engine)
     key = _memo_key(adjacency, edge, dist, p)
@@ -284,7 +288,7 @@ def lightcone_expectation(
     graph: CouplingGraph,
     params: QaoaParams,
     *,
-    support_cap: int = 26,
+    support_cap: int = SUPPORT_CAP,
 ) -> EnergySummary:
     """Exact circuit expectations assembled coupling by coupling.
 

@@ -16,13 +16,11 @@ from ..ising import CouplingGraph, to_ising
 from .params import PHASE_SCALE, QaoaParams
 
 
-# Whatever the cap.  Per amplitude the dense simulator holds the state, one
-# scratch buffer of its dtype and the int64 energies: 16 + 16 + 8 = 40 bytes
-# in complex128 (up to 22 qubits), 8 + 8 + 8 = 24 in complex64.  expectation's
-# readout then holds the state, the energies, the probabilities and matmul's
-# float64 casts of the energies (and, in complex64, of the float32
-# probabilities): 16 + 8 + 8 + 8 = 40 and 8 + 8 + 4 + 8 + 8 = 36 bytes, so
-# 36 GiB at 30 qubits.  simulate_native holds 16 GiB of complex128 amplitudes
+# Whatever the cap.  Per amplitude the dense simulator holds the complex128
+# state, one scratch buffer as large and the int64 energies: 16 + 16 + 8 = 40
+# bytes.  expectation's readout then holds the state, the energies, the float64
+# probabilities and matmul's float64 cast of the energies: 16 + 8 + 8 + 8 = 40
+# bytes, so 40 GiB at 30 qubits.  simulate_native holds 16 GiB of amplitudes
 # and a scratch buffer as large.
 _MAX_QUBITS = 30
 
@@ -115,7 +113,6 @@ def _simulate(
     cap = min(cap_qubits, _MAX_QUBITS)
     if n > cap:
         raise TooLarge(f"statevector capped at {cap} qubits, got {n}")
-    dtype = np.complex128 if n <= 22 else np.complex64
     energies = pair_energy_vector(graph)
     # |energy| <= reach, so each level's phase is a table of the 2 reach + 1
     # values, gathered by energy + reach; the shift is made in place, and
@@ -124,18 +121,13 @@ def _simulate(
     reach = sum(abs(value) for value in graph.couplings.values())
     levels = np.arange(-reach, reach + 1, dtype=np.int64)
     energies += reach
-    state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=dtype)
+    state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=np.complex128)
     scratch = np.empty_like(state)
     for gamma, beta in params.angles:
-        table = np.exp((-1j * gamma * PHASE_SCALE) * levels).astype(dtype, copy=False)
+        table = np.exp((-1j * gamma * PHASE_SCALE) * levels)
         np.take(table, energies, out=scratch, mode="clip")
-        # numpy's complex multiply is not bitwise commutative: earlier releases
-        # multiplied complex128 states state first and complex64 ones phase
-        # first, and these orders keep their amplitudes bit for bit.
-        if dtype == np.complex128:
-            np.multiply(state, scratch, out=state)
-        else:
-            np.multiply(scratch, state, out=state)
+        # state first: numpy's complex multiply is not bitwise commutative
+        np.multiply(state, scratch, out=state)
         for bit in range(n):
             _rotate_x(state, beta, (bit,), scratch)
     energies -= reach
@@ -150,11 +142,8 @@ def simulate_state(
 ) -> Statevector:
     """Evolve |+...+> through p levels of phase and mixer unitaries.
 
-    Single precision is used above 22 qubits to halve the footprint; more
-    than 30 qubits raise ``TooLarge`` whatever ``cap_qubits`` says.  Besides
-    the result the run holds a scratch buffer as large and the int64 energies:
-    40 bytes per amplitude in double, 24 in single precision (24 GiB at 30
-    qubits).
+    In complex128 (footprint beside ``_MAX_QUBITS``); more than 30 qubits
+    raise ``TooLarge`` whatever ``cap_qubits`` says.
     """
     state, _ = _simulate(graph, params, cap_qubits)
     return Statevector(qubit_ids=tuple(range(graph.n)), amplitudes=state)

@@ -12,6 +12,7 @@ from paintshop import (
     NonUnitCoupling,
     NotATree,
     apply_gauge,
+    circuit_from_json,
     coloring_to_spins,
     coupling_stats,
     graph_from_json,
@@ -251,3 +252,20 @@ class TestGraphJson:
         obj = {"n": 3, "couplings": [[0, 1, -2], [1, 2, 1]], "constant": 1, **change}
         with pytest.raises(ValueError):
             graph_from_json(obj)
+
+
+@pytest.mark.parametrize("reader, obj", [
+    (graph_from_json, {"n": 3, "constant": 1}),
+    (graph_from_json, {"n": 3, "couplings": [[0, 1, 1]]}),
+    (circuit_from_json, {"n": 2}),
+    (graph_from_json, {"n": 3, "couplings": None, "constant": 1}),
+    (circuit_from_json, {"n": 2, "gates": None}),
+    (graph_from_json, [3, [[0, 1, 1]], 1]),
+    (circuit_from_json, [2, []]),
+    (circuit_from_json, {"n": 2, "gates": [["rz", 0, 0.1]]}),
+    (circuit_from_json, {"n": 2, "gates": [{"kind": ["rz"], "qubit": 0, "theta": 0.1}]}),
+], ids=["no-couplings", "no-constant", "no-gates", "null-couplings", "null-gates",
+        "graph-list", "circuit-list", "list-gate", "list-kind"])
+def test_json_readers_reject_malformed_records_with_value_error(reader, obj):
+    with pytest.raises(ValueError):
+        reader(obj)

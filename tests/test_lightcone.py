@@ -127,6 +127,17 @@ class TestSupport:
         with pytest.raises(SupportTooLarge):
             edge_correlation(g, edge, tree_params(2), support_cap=4)
 
+    def test_cap_is_clipped_at_the_dense_ceiling(self, monkeypatch):
+        """A star of 31 qubits: every coupling's p=1 support holds all of them,
+        more than the 30 qubits any cap admits."""
+        star = CouplingGraph(n=31, couplings={(0, k): 1 for k in range(1, 31)}, constant=0)
+        runs = count_engine_runs(monkeypatch)
+        with pytest.raises(SupportTooLarge, match="has 31 qubits, cap is 30"):
+            edge_correlation(star, (0, 1), tree_params(1), support_cap=40)
+        with pytest.raises(SupportTooLarge, match="has 31 qubits, cap is 30"):
+            lightcone_expectation(star, tree_params(1), support_cap=40)
+        assert runs == []
+
 
 class TestEngines:
     def test_traced_equals_dense_per_edge(self):
@@ -145,6 +156,19 @@ class TestEngines:
                     assert a == pytest.approx(b, abs=1e-12)
                     count += 1
         assert count > 50
+
+    def test_engines_agree_on_a_23_qubit_support(self):
+        # The coupling (0, 1) and 21 leaves: at p=1 the traced engine keeps two
+        # qubits, while the dense one runs all 23 in complex128 at 40 bytes per
+        # amplitude, 320 MiB; the test takes about 2.5 s and 350 MiB peak RSS.
+        couplings = {(0, 1): 2}
+        for k in range(2, 23):
+            couplings[(k % 2, k)] = (1, -1, 2, -2)[k % 4]
+        g = CouplingGraph(n=23, couplings=couplings, constant=0)
+        params = tree_params(1)
+        traced = edge_correlation(g, (0, 1), params, engine="traced")
+        dense = edge_correlation(g, (0, 1), params, engine="statevector")
+        assert dense == pytest.approx(traced, abs=1e-12)
 
     def test_statevector_engine_stays_within_its_footprint(self):
         # Per amplitude: the complex128 state, its scratch buffer and the int64
@@ -192,7 +216,10 @@ class TestEngines:
         assert len(peaks) > 100
         assert max(peaks) <= 1 << 20
 
-    @settings(max_examples=60, deadline=None)
+    # Derandomized: a complete 9-qubit graph at p=3 costs the traced engine
+    # about 0.1 s per coupling, so random draws made this test's wall time
+    # swing between 1.5 and 38 s; a fixed seed fixes the examples it runs.
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(3, 9), p=st.integers(1, 3))
     def test_elimination_order_does_not_change_the_value(self, data, n, p):
         """Relabelled qubits and reversed adjacency lists make the qubits enter
