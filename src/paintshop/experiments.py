@@ -28,15 +28,13 @@ from .qaoa import (
 )
 from .qaoa.lightcone import SUPPORT_CAP
 
-#: Fixed master seeds so default runs are reproducible end to end.
+#: Master seeds of table1 by depth, and of the two experiments whose words
+#: perfbench replays; every other experiment's seed default is in its signature.
 DEFAULT_SEEDS = {
     "table1-p1": 101,
     "table1-p2": 102,
     "fig2": 103,
     "heuristic-asymptotics": 104,
-    "coupling-stats": 105,
-    "fig3": 106,
-    "fig6": 107,
 }
 
 
@@ -55,12 +53,11 @@ def run_table1(
 ) -> tuple[list, dict]:
     """Mean cost per car of the fixed schedule at depth p, via lightcones."""
     name = f"table1-p{p}"
-    if seed is None:
-        seed = DEFAULT_SEEDS.get(name, 100 + p)
+    seed = DEFAULT_SEEDS[name] if seed is None else seed
     params = tree_params(p)
     # Per depth: default n and count (a depth-2 word costs far more), window.
     table = {1: (1000, 20, (0.665, 0.685)), 2: (300, 10, (0.548, 0.588))}
-    default_n, default_count, window = table.get(p, (1000, 20, None))
+    default_n, default_count, window = table[p]
     n = default_n if n is None else n
     count = default_count if count is None else count
     rows = []
@@ -86,18 +83,16 @@ def run_table1(
         "seed": seed,
         "p": p,
         "mean_color_changes_per_car": mean_ratio,
-        "window": list(window) if window else None,
-        "passed": bool(window and window[0] <= mean_ratio <= window[1]),
+        "window": list(window),
+        "passed": bool(window[0] <= mean_ratio <= window[1]),
     }
     return rows, summary
 
 
 def run_fig2(
-    n: int = 16, count: int = 100, seed: int | None = None
+    n: int = 16, count: int = 100, seed: int = DEFAULT_SEEDS["fig2"]
 ) -> tuple[list, dict]:
     """Exact mean cost of depths 1..5 against the greedy mean at fixed n."""
-    if seed is None:
-        seed = DEFAULT_SEEDS["fig2"]
     depths = (1, 2, 3, 4, 5)
     schedules = {p: tree_params(p) for p in depths}
     rows = []
@@ -134,11 +129,9 @@ def run_fig2(
 
 
 def run_heuristic_asymptotics(
-    n: int = 10_000, count: int = 100, seed: int | None = None
+    n: int = 10_000, count: int = 100, seed: int = DEFAULT_SEEDS["heuristic-asymptotics"]
 ) -> tuple[list, dict]:
     """Mean cost per car of the three sequential heuristics at large n."""
-    if seed is None:
-        seed = DEFAULT_SEEDS["heuristic-asymptotics"]
     targets = {"greedy": 0.5, "red-first": 2 / 3, "recursive-greedy": 0.4}
     rows = []
     totals = {algo: 0 for algo in SOLVERS}
@@ -165,11 +158,9 @@ def run_heuristic_asymptotics(
 
 
 def run_coupling_stats(
-    n: int = 100_000, count: int = 100, seed: int | None = None
+    n: int = 100_000, count: int = 100, seed: int = 105
 ) -> tuple[list, dict]:
     """Merged coupling value distribution and mean degree at large n."""
-    if seed is None:
-        seed = DEFAULT_SEEDS["coupling-stats"]
     rows = []
     all_instances = []
     for idx, inst in _instances(n, count, seed):
@@ -246,15 +237,13 @@ def run_fig3(
     count: int = 300,
     p: int = 1,
     alphas: tuple = (1.0, 2.0, 3.0),
-    seed: int | None = None,
+    seed: int = 106,
 ) -> tuple[list, dict]:
     """Distribution of approximation mass over random words by size.
 
     Headline: the hardest instances get harder with size, i.e. the fitted
     slope of log(min p_alpha) versus n at the tightest alpha is negative.
     """
-    if seed is None:
-        seed = DEFAULT_SEEDS["fig3"]
     params = tree_params(p)
     rows = []
     minima = {alpha: [] for alpha in alphas}

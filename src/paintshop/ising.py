@@ -30,6 +30,10 @@ import numpy as np
 from .core import BpspInstance, Coloring, json_fields
 
 
+#: Python's and numpy's integer types; ``bool`` is not one.
+_INTS = frozenset({int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])})
+
+
 class NotATree(ValueError):
     """The coupling graph contains a cycle."""
 
@@ -44,11 +48,21 @@ class NoCouplings(ValueError):
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Merged pair couplings (keys (i, j) with i < j) plus an additive constant."""
+    """Merged pair couplings plus an additive constant.  Construction checks that
+    every key is a pair (i, j) with 0 <= i < j < n and every J an integer, and
+    raises ``ValueError`` naming any other coupling."""
 
     n: int
     couplings: dict
     constant: int
+
+    def __post_init__(self):
+        n = self.n
+        for key, value in self.couplings.items():
+            i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
+            if not (type(i) in _INTS and type(j) in _INTS and type(value) in _INTS
+                    and 0 <= i < j < n):
+                raise ValueError(f"coupling {key!r}: {value!r}, want int J, 0 <= i < j < {n}")
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Couplings as parallel arrays in sorted key order."""
@@ -243,15 +257,8 @@ def apply_gauge(graph: CouplingGraph, flips: frozenset | set) -> CouplingGraph:
 
 
 def graph_to_json(graph: CouplingGraph) -> dict:
-    """Stable JSON form: {"n": ..., "couplings": [[i, j, J], ...], "constant": ...}.
-
-    Entries are sorted with i < j; keys naming one pair in both orders merge, as in
-    ``pair_energy_vector``.
-    """
-    merged = Counter()
-    for (i, j), v in graph.couplings.items():
-        merged[min(int(i), int(j)), max(int(i), int(j))] += int(v)
-    couplings = [[i, j, v] for (i, j), v in sorted(merged.items())]
+    """Stable JSON form: {"n": ..., "couplings": sorted [[i, j, J], ...], "constant": ...}."""
+    couplings = [[int(i), int(j), int(v)] for (i, j), v in sorted(graph.couplings.items())]
     return {"n": graph.n, "couplings": couplings, "constant": graph.constant}
 
 
@@ -262,9 +269,8 @@ def graph_from_json(obj: dict) -> CouplingGraph:
         raise ValueError(f"graph n must be >= 0, got {n}")
     couplings = {}
     for index, entry in enumerate(entries):
-        if not isinstance(entry, list) or list(map(type, entry)) != [int] * 3 or not (
-            0 <= entry[0] < entry[1] < n and (entry[0], entry[1]) not in couplings
-        ):
-            raise ValueError(f"coupling {index}: want new [i, j, J] ints, i < j < n: {entry!r}")
+        if not isinstance(entry, list) or list(map(type, entry)) != [int] * 3 or (
+                (entry[0], entry[1]) in couplings):
+            raise ValueError(f"coupling {index}: want a new [i, j, J] of ints: {entry!r}")
         couplings[entry[0], entry[1]] = entry[2]
     return CouplingGraph(n=n, couplings=couplings, constant=constant)

@@ -33,8 +33,9 @@ Two exact evaluation engines sit behind the contract:
   words).
 
 The automatic choice runs the traced engine when 4^|kept|, an upper bound
-on its tensor, is below 2^|support|, so under the clipped cap neither
-engine holds more than 2^30 entries.
+on its tensor, is below 2^|support|, and a traced run asked for by name
+needs 4^|kept| <= 2^cap, so under the clipped cap neither engine holds
+more than 2^30 entries.
 
 ``lightcone_expectation`` memoizes every lightcone for one call, storing
 sign(J_ij) <Z_i Z_j>: only couplings with an endpoint in the kept ball act
@@ -232,6 +233,9 @@ def edge_correlation(
     if size > cap:
         raise SupportTooLarge(f"support of {edge} has {size} qubits, cap is {cap}")
     if _memo is None or engine != "auto":
+        kept = sum(d < p for d in dist.values()) if engine == "traced" else 0
+        if 4**kept > 2**cap:
+            raise SupportTooLarge(f"traced {edge} plans 4^{kept} entries, cap is 2^{cap}")
         return _run_engine(adjacency, edge, dist, params, engine)
     key = _memo_key(adjacency, edge, dist, p)
     sign = 1.0 if graph.couplings[edge] > 0 else -1.0

@@ -52,9 +52,8 @@ def pair_energy_vector(graph: CouplingGraph) -> np.ndarray:
     """
     energies = np.zeros(1 << graph.n, dtype=np.int64)
     below: list[dict] = [{} for _ in range(graph.n)]
-    for (a, b), value in graph.couplings.items():
-        i, k = (a, b) if a < b else (b, a)
-        below[k][i] = below[k].get(i, 0) + value
+    for (i, k), value in graph.couplings.items():
+        below[k][i] = value
     for k, couplings in enumerate(below):
         lower, field = energies[: 1 << k], energies[1 << k : 2 << k]
         if not couplings:

@@ -1,5 +1,6 @@
 """Coupling construction, energy identities, gauge handling."""
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ class TestTreeGauge:
             tree_gauge(g)
 
 
+@pytest.mark.parametrize("couplings, named", [
+    ({(1, 0): 1}, "(1, 0)"),
+    ({(0, 1): 1, (1, 0): 1}, "(1, 0)"),
+    ({(1, 1): 1}, "(1, 1)"),
+    ({(0, 3): 1}, "(0, 3)"),
+    ({(-1, 1): 1}, "(-1, 1)"),
+    ({(0, 1): 1.5}, "(0, 1): 1.5"),
+    ({(0, 1): True}, "(0, 1): True"),
+], ids=["reversed", "both-orders", "self-pair", "beyond-n", "negative", "float-J", "bool-J"])
+def test_construction_rejects_every_other_coupling_form(couplings, named):
+    with pytest.raises(ValueError, match=re.escape(f"coupling {named}")):
+        CouplingGraph(n=3, couplings=couplings, constant=0)
+
+
 class TestGraphJson:
     def test_round_trip(self):
         g = to_ising(validate([0, 1, 2, 0, 1, 2]))
@@ -218,15 +233,13 @@ class TestGraphJson:
         assert back.couplings == g.couplings
         assert back.constant == g.constant
 
-    def test_reversed_keys_round_trip(self):
-        g = CouplingGraph(n=3, couplings={(1, 0): 1, (2, 1): -2}, constant=1)
-        obj = graph_to_json(g)
-        assert obj["couplings"] == [[0, 1, 1], [1, 2, -2]]
-        back = graph_from_json(obj)
-        assert back.couplings == {(0, 1): 1, (1, 2): -2}
-        assert back.constant == 1
-        both = CouplingGraph(n=2, couplings={(0, 1): 1, (1, 0): 1}, constant=0)
-        assert graph_from_json(graph_to_json(both)).couplings == {(0, 1): 2}
+    def test_reversed_keys_are_rejected(self):
+        # Neither a graph built in memory nor one read from JSON gets past the
+        # constructor's check, so graph_to_json never sees a reversed pair.
+        with pytest.raises(ValueError, match=r"coupling \(1, 0\)"):
+            CouplingGraph(n=3, couplings={(1, 0): 1, (2, 1): -2}, constant=1)
+        with pytest.raises(ValueError, match=r"coupling \(1, 0\)"):
+            graph_from_json({"n": 3, "couplings": [[1, 0, 1]], "constant": 1})
 
     @pytest.mark.parametrize(
         "change",

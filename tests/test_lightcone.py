@@ -116,16 +116,31 @@ class TestSupport:
         word = to_ising(random_instance(60, instance_rng(41, 400)))
         couplings = CountedCouplings(word.couplings)
         g = CouplingGraph(n=word.n, couplings=couplings, constant=word.constant)
+        checked = couplings.passes  # construction checks every coupling once
         for edge in sorted(couplings):
             lightcone_support(g, edge, 2)
             edge_correlation(g, edge, tree_params(1))
-        assert couplings.passes == 1
+        assert couplings.passes - checked == 1
 
     def test_cap_raises(self):
         g = to_ising(random_instance(200, instance_rng(41, 300)))
         edge = sorted(g.couplings)[0]
         with pytest.raises(SupportTooLarge):
             edge_correlation(g, edge, tree_params(2), support_cap=4)
+
+    def test_named_traced_run_is_held_to_the_cap(self, monkeypatch):
+        """The coupling (0, 1) and 14 leaves at p=2: all 16 qubits are kept, and
+        4^16 entries exceed 2^26.  4^|kept| is an upper bound on the traced
+        tensor, so the check also rejects this lightcone, which the engine
+        would run in well under a second."""
+        couplings = {(0, 1): 2}
+        for k in range(2, 16):
+            couplings[(k % 2, k)] = (1, -1, 2, -2)[k % 4]
+        g = CouplingGraph(n=16, couplings=couplings, constant=0)
+        runs = count_engine_runs(monkeypatch)
+        with pytest.raises(SupportTooLarge, match=r"plans 4\^16 entries, cap is 2\^26"):
+            edge_correlation(g, (0, 1), tree_params(2), engine="traced")
+        assert runs == []
 
     def test_cap_is_clipped_at_the_dense_ceiling(self, monkeypatch):
         """A star of 31 qubits: every coupling's p=1 support holds all of them,

@@ -203,12 +203,6 @@ class TestDenseKernels:
             assert got.dtype == np.int64
             assert np.array_equal(got, _literal_energies(g))
 
-    def test_pair_key_order_does_not_matter(self):
-        g = _random_graph(np.random.default_rng(62), 8)
-        flipped = CouplingGraph(n=8, couplings={(j, i): v for (i, j), v in g.couplings.items()},
-                                constant=0)
-        assert np.array_equal(pair_energy_vector(flipped), _literal_energies(g))
-
     @pytest.mark.parametrize("dtype, tol", [(np.complex128, 1e-12), (np.complex64, 1e-6)])
     def test_rotation_matches_the_small_matrix(self, dtype, tol):
         rng = np.random.default_rng(63)
