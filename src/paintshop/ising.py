@@ -23,7 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -50,10 +51,12 @@ class NoCouplings(ValueError):
 class CouplingGraph:
     """Merged pair couplings plus an additive constant.  Construction checks that
     every key is a pair (i, j) with 0 <= i < j < n and every J an integer, and
-    raises ``ValueError`` naming any other coupling."""
+    raises ``ValueError`` naming any other coupling.  ``couplings`` then becomes
+    a read-only view of the caller's dict, not a copy: the adjacency and the
+    lightcone values rely on it never changing, so neither may the caller."""
 
     n: int
-    couplings: dict
+    couplings: Mapping
     constant: int
 
     def __post_init__(self):
@@ -63,6 +66,7 @@ class CouplingGraph:
             if not (type(i) in _INTS and type(j) in _INTS and type(value) in _INTS
                     and 0 <= i < j < n):
                 raise ValueError(f"coupling {key!r}: {value!r}, want int J, 0 <= i < j < {n}")
+        object.__setattr__(self, "couplings", MappingProxyType(self.couplings))
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Couplings as parallel arrays in sorted key order."""
@@ -75,7 +79,7 @@ class CouplingGraph:
 
     def adjacency_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each qubit's (neighbour, coupling) pairs, built once per graph:
-        ``couplings`` is not changed after construction."""
+        ``couplings`` is read-only after construction."""
         return self._adjacency
 
     @cached_property

@@ -54,11 +54,17 @@ to rounding (the statevector engine also runs the cancelling boundary
 couplings); a tie-break can only miss a hit.  On the p=2 benchmark's four
 n=300 words (seed 102) the engine runs for 193 of 2381 couplings, against
 865 when only trees were memoized.  Trees stop at their codes: the
-relabelled key finds the same classes there, but used for every lightcone
-it made the p=1, n=1000 benchmark 87 % slower.
+relabelled key finds the same classes there, but for trees too it made
+those four words 17 % slower (median best-of-5 time 0.259 -> 0.303 s).
+
+That is for p >= 2.  At p=1 no memo is used: ``_corr_closed`` gives
+<Z_i Z_j> in closed form, cheaper than any key.  Calls without a memo or
+naming an engine still run one, so the tests hold the closed form to both
+engines.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -214,6 +220,32 @@ def _corr_traced(adjacency, dist, params) -> float:
     return float(np.real(signs @ rho @ signs)) / (1 << len(kept))
 
 
+def _corr_closed(adjacency, edge, params) -> float:
+    """<Z_i Z_j> at p=1 in closed form (arXiv:1706.02998; with triangles and
+    weights, arXiv:2012.03421).  With c(x) = cos(2 x gamma PHASE_SCALE), s(x)
+    likewise, J_iw = 0 off the graph and w never i or j, it is
+    1/2 sin 4b s(J_ij) (prod_w c(J_iw) + prod_w c(J_jw))
+    - 1/2 sin^2 2b (prod_w c(J_iw + J_jw) - prod_w c(J_iw - J_jw)).  Skipping
+    j and i, not dividing by c(J_ij), keeps a zero cosine harmless; the last
+    two products are equal unless i and j share a neighbour."""
+    ((gamma, beta),) = params.angles
+    theta = 2 * gamma * PHASE_SCALE
+    i, j = edge
+    near_i, near_j = dict(adjacency[i]), dict(adjacency[j])
+    coupling = near_i.pop(j)
+    del near_j[i]
+    corr = 0.5 * math.sin(4 * beta) * math.sin(theta * coupling) * (
+        math.prod(math.cos(theta * val) for val in near_i.values())
+        + math.prod(math.cos(theta * val) for val in near_j.values()))
+    if near_i.keys() & near_j.keys():
+        both = near_i.keys() | near_j.keys()
+        same, opposite = (math.prod(
+            math.cos(theta * (near_i.get(w, 0) + sign * near_j.get(w, 0))) for w in both
+        ) for sign in (1, -1))
+        corr -= 0.5 * math.sin(2 * beta) ** 2 * (same - opposite)
+    return corr
+
+
 def edge_correlation(
     graph: CouplingGraph,
     edge: tuple,
@@ -224,8 +256,8 @@ def edge_correlation(
     _adjacency=None,
     _memo=None,
 ) -> float:
-    """<Z_i Z_j> of one coupling under the restricted circuit; with the
-    automatic engine, reused from ``_memo`` for an equal lightcone key."""
+    """<Z_i Z_j> of one coupling under the restricted circuit; with ``_memo``
+    and the automatic engine, closed at p=1, else memoized by lightcone key."""
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency
     p = params.p
     dist = _distances(adjacency, edge, p)
@@ -237,6 +269,8 @@ def edge_correlation(
         if 4**kept > 2**cap:
             raise SupportTooLarge(f"traced {edge} plans 4^{kept} entries, cap is 2^{cap}")
         return _run_engine(adjacency, edge, dist, params, engine)
+    if p == 1:
+        return _corr_closed(adjacency, edge, params)
     key = _memo_key(adjacency, edge, dist, p)
     sign = 1.0 if graph.couplings[edge] > 0 else -1.0
     if key not in _memo:
@@ -297,8 +331,8 @@ def lightcone_expectation(
     """Exact circuit expectations assembled coupling by coupling.
 
     Couplings are visited in sorted order with a sequential reduction, so
-    results are bitwise reproducible.  The engine runs once per lightcone
-    up to relabelling and gauge (see the module docstring).
+    results are bitwise reproducible.  The engine runs once per lightcone up
+    to relabelling and gauge at p >= 2, never at p=1 (see the module docstring).
     """
     memo = {}
     mean_adj = float(graph.constant)

@@ -223,6 +223,20 @@ def test_construction_rejects_every_other_coupling_form(couplings, named):
         CouplingGraph(n=3, couplings=couplings, constant=0)
 
 
+@pytest.mark.parametrize("graph", [
+    CouplingGraph(n=4, couplings={(0, 1): 1, (1, 2): -1, (2, 3): 1}, constant=0),
+    to_ising(random_instance(50, instance_rng(5, 0))),
+], ids=["hand-built", "to-ising"])
+def test_couplings_cannot_change_after_the_check(graph):
+    """A key added after construction would skip the check; before the
+    couplings were read-only, (1, 0) made ``expectation`` fail in a reshape."""
+    with pytest.raises(TypeError):
+        graph.couplings[(1, 0)] = 1
+    with pytest.raises(TypeError):
+        del graph.couplings[next(iter(graph.couplings))]
+    assert (1, 0) not in graph.couplings
+
+
 class TestGraphJson:
     def test_round_trip(self):
         g = to_ising(validate([0, 1, 2, 0, 1, 2]))

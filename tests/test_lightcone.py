@@ -451,9 +451,10 @@ class TestTreeMemo:
         assert corr[(0, 1)] != pytest.approx(corr[(3, 4)], abs=1e-3)
         check_memo(graph, params)
 
-    # Tree shapes plus loopy lightcones: at p=1, {(12, 13), (12, 14)} and
-    # (13, 14); at p=2 also (11, 12), whose ball now holds the triangle.
-    @pytest.mark.parametrize("p, runs", [(1, 3 + 2), (2, 4 + 3)])
+    # At p=1 the closed form serves every coupling, so no engine runs.  At
+    # p=2, tree shapes plus loopy lightcones: {(12, 13), (12, 14)}, (13, 14)
+    # and (11, 12), whose ball now holds the triangle.
+    @pytest.mark.parametrize("p, runs", [(1, 0), (2, 4 + 3)])
     def test_one_engine_run_per_lightcone_shape(self, monkeypatch, p, runs):
         engine_edges, public_edges = count_engine_runs(monkeypatch), []
         public = lightcone.edge_correlation
@@ -547,7 +548,9 @@ class TestLoopyMemo:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_shifted_gauge_flipped_copy_costs_no_engine_run(self, monkeypatch, p):
         """Next to HAND_BUILT, a copy of it on qubits 10..19 with some spins
-        flipped: each lightcone of the copy hits the memo."""
+        flipped: each coupling of the copy has its original's key, so its
+        lightcone hits the memo (at p=1, where no engine runs, the key is all
+        that is left to check)."""
         params = tree_params(p)
         runs = count_engine_runs(monkeypatch)
         alone = lightcone_expectation(HAND_BUILT, params).mean_adjacency_energy
@@ -559,30 +562,31 @@ class TestLoopyMemo:
         both = lightcone_expectation(union, params).mean_adjacency_energy
         assert len(runs) == alone_runs
         assert both == pytest.approx(2 * alone, abs=1e-12)
+        for a, b in HAND_BUILT.couplings:
+            assert memo_key(union, (a + 10, b + 10), p) == memo_key(union, (a, b), p)
         check_memo(union, params)
 
-    @pytest.mark.parametrize("original, renumbered", [
+    @pytest.mark.parametrize("original, renumbered, image", [
         # qubit 0 of a triangle has two bare ends, coupled by |J| = 1 and 2
         ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 1, (0, 4): 2},
-         {(10, 11): 1, (10, 12): 1, (11, 12): 1, (10, 13): 2, (10, 14): 1}),
+         {(10, 11): 1, (10, 12): 1, (11, 12): 1, (10, 13): 2, (10, 14): 1},
+         (10, 11, 12, 14, 13)),
         # qubit 0 reaches a boundary qubit it shares with 1 and a bare end;
         # 1 has two more bare ends, so the search starts at 0
         ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 1, (1, 4): 1, (1, 5): 1},
-         {(10, 11): 1, (10, 13): 1, (11, 13): 1, (10, 12): 1, (11, 14): 1, (11, 15): 1}),
+         {(10, 11): 1, (10, 13): 1, (11, 13): 1, (10, 12): 1, (11, 14): 1, (11, 15): 1},
+         (10, 11, 13, 12, 14, 15)),
     ], ids=["coupling-strength", "shared-boundary"])
-    def test_renumbered_copy_costs_no_engine_run(self, monkeypatch, original, renumbered):
-        """A copy on qubits 10.. that numbers two neighbours of qubit 0 the
-        other way round: the search must order them by |J| and code, not by
-        qubit, for the copy to hit the memo at p=1."""
-        params = tree_params(1)
-        runs = count_engine_runs(monkeypatch)
-        lightcone_expectation(CouplingGraph(n=10, couplings=original, constant=0), params)
-        alone_runs = len(runs)
-        runs.clear()
+    def test_renumbered_copy_costs_no_engine_run(self, original, renumbered, image):
+        """A copy on qubits 10.. (qubit q becomes image[q]) that numbers two
+        neighbours of qubit 0 the other way round: the search must order them
+        by |J| and code, not by qubit, for each coupling of the copy to get
+        its original's p=1 key, and so hit the memo.  lightcone_expectation
+        keys nothing at p=1, so the keys are compared directly."""
         union = CouplingGraph(n=20, couplings={**original, **renumbered}, constant=0)
-        lightcone_expectation(union, params)
-        assert len(runs) == alone_runs
-        check_memo(union, params)
+        for a, b in original:
+            assert memo_key(union, (image[a], image[b]), 1) == memo_key(union, (a, b), 1)
+        check_memo(union, tree_params(1))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(3, 9), p=st.integers(1, 3))
@@ -610,3 +614,58 @@ class TestLoopyMemo:
         """Word 0 of table1-p2 (seed 102, n=300), where most loopy lightcones hit."""
         graph = to_ising(random_instance(300, instance_rng(102, 0)))
         check_memo(graph, tree_params(2))
+
+
+class TestClosedForm:
+    """At p=1, memoized_correlations is lightcone_expectation's closed form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 9))
+    def test_matches_full_state_on_random_loopy_graphs(self, data, n):
+        """n couplings on n qubits always close a loop; |J| up to 3, as a
+        graph read from JSON may carry."""
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True))
+        couplings = {e: data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for e in chosen}
+        angle = st.floats(-np.pi, np.pi, allow_nan=False)
+        params = QaoaParams(((data.draw(angle), data.draw(angle)),))
+        graph = CouplingGraph(n=n, couplings=couplings, constant=0)
+        full = full_correlations(graph, params)
+        for edge, corr in memoized_correlations(graph, params).items():
+            assert corr == pytest.approx(full[edge], abs=1e-12)
+
+    # With PHASE_SCALE = 1/2 a coupling's cosine is cos(gamma J): about 0 at
+    # gamma = pi/2 for |J| = 1 and at gamma = pi/4 for |J| = 2.  sin 4 beta
+    # is about 0 at beta = pi/4.
+    @pytest.mark.parametrize("gamma", [np.pi / 2, np.pi / 4], ids=["pi/2", "pi/4"])
+    @pytest.mark.parametrize("graph", [HAND_BUILT, PATH_WITH_TRIANGLE],
+                             ids=["hand-built", "path-with-triangle"])
+    def test_matches_full_state_where_a_cosine_vanishes(self, graph, gamma):
+        params = QaoaParams(((gamma, np.pi / 4),))
+        full = full_correlations(graph, params)
+        for edge, corr in memoized_correlations(graph, params).items():
+            assert corr == pytest.approx(full[edge], abs=1e-12)
+
+    def test_table1_p1_word_matches_traced_engine(self):
+        """Every coupling of word 0 of table1-p1 (seed 101, n=1000)."""
+        graph = to_ising(random_instance(1000, instance_rng(101, 0)))
+        params = tree_params(1)
+        for edge, corr in memoized_correlations(graph, params).items():
+            traced = edge_correlation(graph, edge, params, engine="traced")
+            assert corr == pytest.approx(traced, abs=1e-12)
+
+    def test_lightcone_expectation_keys_and_runs_nothing(self, monkeypatch):
+        """At p=1 the sum needs neither a memo key nor an engine run."""
+        keys, memo_key = [], lightcone._memo_key
+
+        def counted(adjacency, edge, *args):
+            keys.append(edge)
+            return memo_key(adjacency, edge, *args)
+
+        monkeypatch.setattr(lightcone, "_memo_key", counted)
+        runs = count_engine_runs(monkeypatch)
+        graph = to_ising(random_instance(200, instance_rng(48, 0)))
+        params = tree_params(1)
+        total = lightcone_expectation(graph, params).mean_adjacency_energy
+        assert keys == [] and runs == []
+        assert total == pytest.approx(memo_free(graph, params), abs=1e-12)
