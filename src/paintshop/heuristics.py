@@ -28,14 +28,15 @@ def greedy(instance: BpspInstance) -> Coloring:
     first color again.  The walk starts with color 0; ``Coloring.flip`` gives
     the mirror coloring, which starts with color 1 at the same cost.
     """
-    fc = np.full(instance.n, -1, dtype=np.int8)
+    fc = bytearray(b"\x02") * instance.n  # 2: not seen yet
     current = 0
-    for car in instance.sequence:
-        if fc[car] < 0:
+    for car in memoryview(instance.sequence):  # Python ints, no numpy scalar per car
+        color = fc[car]
+        if color == 2:
             fc[car] = current
         else:
-            current = 1 - int(fc[car])
-    return Coloring(fc)
+            current = 1 - color
+    return Coloring(np.frombuffer(fc, dtype=np.int8))
 
 
 def red_first(instance: BpspInstance) -> Coloring:
@@ -64,22 +65,29 @@ def recursive_greedy(instance: BpspInstance) -> Coloring:
     n, m = instance.n, 2 * instance.n
     first = instance.first_positions()
     seconds = np.flatnonzero(instance.occurrence == 1)
-    firsts = first[instance.sequence[seconds]]
+    # Memoryviews of the position arrays: every read below is a Python int, not a numpy scalar.
+    firsts, seconds = memoryview(first[instance.sequence[seconds]]), memoryview(seconds)
     # Doubly linked ring of positions closed by a header at m; typed arrays, no int objects.
     nxt, prv = array("q", range(1, m + 2)), array("q", range(-1, m))
     nxt[m], prv[0] = 0, m
     for k in range(n - 1, 0, -1):
-        for i in (int(firsts[k]), int(seconds[k])):
-            nxt[prv[i]], prv[nxt[i]] = nxt[i], prv[i]
-    color = bytearray(m + 1)  # per position
+        p1, p2 = firsts[k], seconds[k]
+        nxt[prv[p1]], prv[nxt[p1]] = nxt[p1], prv[p1]
+        nxt[prv[p2]], prv[nxt[p2]] = nxt[p2], prv[p2]
+    color = bytearray(m + 1)  # per position; the header's byte stays 0
     color[seconds[0]] = 1
     for k in range(1, n):
-        p1, p2 = int(firsts[k]), int(seconds[k])
-        for i in (p2, p1):
-            nxt[prv[i]] = prv[nxt[i]] = i
-        near = ((prv[p1], 0), (nxt[p1], 0), (prv[p2], 1))
-        votes = [color[j] ^ occ for j, occ in near if j not in (m, p1, p2)]
-        color[p1] = 2 * sum(votes) > len(votes)
+        p1, p2 = firsts[k], seconds[k]
+        nxt[prv[p2]] = prv[nxt[p2]] = p2
+        nxt[prv[p1]] = prv[nxt[p1]] = p1
+        # nxt[p1] == p2 (so prv[p2] == p1) is the car's own adjacency, which does not
+        # vote.  The header m (only ever prv[p1]) must not vote either, but its byte 0
+        # is a vote for 0, which moves no strict majority and no tie toward 0.
+        j = prv[p1]
+        if nxt[p1] == p2:
+            color[p1] = color[j]
+        else:
+            color[p1] = color[j] + color[nxt[p1]] + 1 - color[prv[p2]] >= 2
         color[p2] = 1 - color[p1]
     return Coloring(np.frombuffer(color, dtype=np.int8)[first])
 
@@ -97,12 +105,10 @@ def greedy_subsystem(instance: BpspInstance) -> CouplingGraph:
     coloring satisfies all n-1 couplings, i.e. reaches the ground adjacency
     energy -(n-1).
     """
-    seq = instance.sequence
-    occ = instance.occurrence
-    couplings = {}
-    for k in range(1, 2 * instance.n):
-        if occ[k] == 0:
-            i, j = int(seq[k]), int(seq[k - 1])
-            val = -1 if occ[k - 1] == 0 else 1
-            couplings[(min(i, j), max(i, j))] = val
+    seq, occ = instance.sequence, instance.occurrence
+    k = np.flatnonzero(occ[1:] == 0) + 1
+    # The car at k is new there, so it differs from the car at k-1 and no pair repeats.
+    i, j = seq[k], seq[k - 1]
+    keys = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+    couplings = dict(zip(keys, np.where(occ[k - 1] == 0, -1, 1).tolist()))
     return CouplingGraph(n=instance.n, couplings=couplings, constant=0)

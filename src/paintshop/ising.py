@@ -134,10 +134,10 @@ def to_ising(instance: BpspInstance) -> CouplingGraph:
 
 def adjacency_energy(graph: CouplingGraph, spins: np.ndarray) -> int:
     """constant + sum_ij J_ij s_i s_j for one spin configuration (+-1)."""
-    s = np.asarray(spins)
+    s = np.asarray(spins).tolist()
     total = graph.constant
     for (i, j), val in graph.couplings.items():
-        total += val * int(s[i]) * int(s[j])
+        total += val * s[i] * s[j]
     return int(total)
 
 
@@ -181,7 +181,8 @@ def coupling_stats(instances: Iterable[BpspInstance]) -> CouplingStats:
     zero_merged = 0
     for inst in instances:
         pairs, values, _, zeros = _merged_arrays(inst)
-        hist.update(values.tolist())
+        keys, counts = np.unique(values, return_counts=True)
+        hist.update(dict(zip(keys.tolist(), counts.tolist())))
         if zeros:
             hist[0] += zeros
             zero_merged += zeros

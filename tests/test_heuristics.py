@@ -1,5 +1,7 @@
 """Sequential heuristics and the greedy ground-state subsystem."""
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +58,17 @@ def naive_recursive_greedy(word):
         costs.append(naive_changes(word, fc))
     fc[car] = int(costs[1] < costs[0])
     return fc
+
+
+def naive_greedy_subsystem(inst):
+    """The greedy subsystem one position at a time, as its docstring states it."""
+    seq, occ = inst.sequence.tolist(), inst.occurrence.tolist()
+    couplings = {}
+    for k in range(1, 2 * inst.n):
+        if occ[k] == 0:
+            i, j = seq[k], seq[k - 1]
+            couplings[(min(i, j), max(i, j))] = -1 if occ[k - 1] == 0 else 1
+    return couplings
 
 
 def words(max_n=8):
@@ -197,3 +210,62 @@ class TestGreedySubsystem:
         sub = greedy_subsystem(inst)
         spins = coloring_to_spins(greedy(inst))
         assert adjacency_energy(sub, spins) == -(inst.n - 1)
+
+    @pytest.mark.parametrize("inst", [
+        *(random_instance(n, instance_rng(26, n)) for n in (1, 2, 5, 50, 1000)),
+        hard_instance(40),
+        easy_instance(40),
+    ], ids=["n1", "n2", "n5", "n50", "n1000", "ladder", "pairs"])
+    def test_matches_naive_couplings_in_insertion_order(self, inst):
+        got = list(greedy_subsystem(inst).couplings.items())
+        assert got == list(naive_greedy_subsystem(inst).items())
+        assert all(type(v) is int for _, v in got)
+
+
+#: sha256 of ``first_color.tobytes()`` on random_instance(100_000, instance_rng(104, k)),
+#: recorded from the element-by-element walks the typed-buffer loops replaced.
+DIGESTS_100K = {
+    (0, "greedy"): "962233c4b75e5ebc589878244d1a9ef7f4cabebc79e2e4417eb6fa7ff29cb62b",
+    (0, "recursive_greedy"): "2214943612ccee311982cb624e1c400fd78852c07a40a0c7edb06a54db228610",
+    (1, "greedy"): "bde5b2df66cf3ee95c6a8454002e70c920f7e335a2d8faf79226fbaeb504ea06",
+    (1, "recursive_greedy"): "8f47b0d79a10c06726cae9263433592de0022972617b36c14014fa9b45f26b11",
+}
+
+
+@pytest.fixture(scope="module")
+def words_100k():
+    return [random_instance(100_000, instance_rng(104, k)) for k in (0, 1)]
+
+
+def traced_peak(solver, inst) -> int:
+    tracemalloc.start()
+    try:
+        solver(inst)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeWords:
+    @pytest.mark.parametrize("k, name", sorted(DIGESTS_100K))
+    def test_colorings_match_recorded_digests(self, words_100k, k, name):
+        fc = {"greedy": greedy, "recursive_greedy": recursive_greedy}[name](words_100k[k]).first_color
+        assert fc.dtype == np.int8
+        assert hashlib.sha256(fc.tobytes()).hexdigest() == DIGESTS_100K[k, name]
+
+    def test_greedy_matches_naive_walk(self, words_100k):
+        inst = words_100k[0]
+        assert greedy(inst).first_color.tolist() == naive_greedy(inst.sequence.tolist(), inst.n)
+
+    def test_peak_memory_is_the_typed_buffers(self, words_100k):
+        # recursive_greedy holds two rings of 2n+1 int64 links, 16 (2n+1) bytes;
+        # three n-long int64 position arrays (first positions, second positions
+        # and the first position of each second's car), 24n; 2n+1 color bytes
+        # and the n-byte result.  That is 59n + 17 bytes, 5.6 MiB at n=100k;
+        # a quarter more covers the rings' growth from ``range`` and numpy's
+        # transient masks.  A ring of Python ints needs about three times that.
+        # greedy reads the word in place and keeps n color bytes.
+        inst = words_100k[0]
+        n = inst.n
+        assert traced_peak(recursive_greedy, inst) <= 1.25 * (59 * n + 17)
+        assert traced_peak(greedy, inst) <= 2 * n
