@@ -36,7 +36,6 @@ from .core import (
 from .heuristics import SOLVERS
 from .ising import NoCouplings, to_ising
 from .qaoa import (
-    SupportTooLarge,
     UnknownParams,
     color_change_vector,
     expectation,
@@ -65,7 +64,6 @@ _USAGE_ERRORS = (
     UnknownParams,
     UnknownAlgo,
     FlagNotTaken,
-    SupportTooLarge,
     NoCouplings,
     OSError,
 )

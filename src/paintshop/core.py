@@ -29,7 +29,15 @@ class BadRecord(ValueError):
 
 
 class TooLarge(ValueError):
-    """Exhaustive enumeration would exceed the configured size cap."""
+    """A size past a ceiling, checked before allocation: 32 cars for brute force,
+    2^30 cars for a random word, 30 qubits for the dense and native simulators,
+    2^30 shots for sampling and, as ``SupportTooLarge``, 30 qubits for a lightcone
+    support and 4^|kept| <= 2^cap for a named traced run.  A caller may cap lower."""
+
+
+# A random word holds its int64 sequence (16 bytes per car), its stable argsort (16,
+# plus the sort's scratch) and its int8 occurrence marks (2): 35 GiB at 2^30 cars.
+_MAX_CARS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,8 @@ def random_instance(n: int, rng: np.random.Generator | int) -> BpspInstance:
     """
     if n < 1:
         raise WrongMultiplicity("n must be >= 1")
+    if n > _MAX_CARS:
+        raise TooLarge(f"random words capped at {_MAX_CARS} cars, got {n}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     seq = np.repeat(np.arange(n, dtype=np.int64), 2)

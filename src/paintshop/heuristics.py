@@ -110,5 +110,5 @@ def greedy_subsystem(instance: BpspInstance) -> CouplingGraph:
     # The car at k is new there, so it differs from the car at k-1 and no pair repeats.
     i, j = seq[k], seq[k - 1]
     keys = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
-    couplings = dict(zip(keys, np.where(occ[k - 1] == 0, -1, 1).tolist()))
+    couplings = zip(keys, np.where(occ[k - 1] == 0, -1, 1).tolist())
     return CouplingGraph(n=instance.n, couplings=couplings, constant=0)

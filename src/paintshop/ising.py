@@ -49,11 +49,11 @@ class NoCouplings(ValueError):
 
 @dataclass(frozen=True)
 class CouplingGraph:
-    """Merged pair couplings plus an additive constant.  Construction checks that
-    every key is a pair (i, j) with 0 <= i < j < n and every J an integer, and
-    raises ``ValueError`` naming any other coupling.  ``couplings`` then becomes
-    a read-only view of the caller's dict, not a copy: the adjacency and the
-    lightcone values rely on it never changing, so neither may the caller."""
+    """Merged pair couplings plus an additive constant.  ``couplings`` is a mapping,
+    or ((i, j), J) items as ``dict`` takes them; the graph copies it into a dict of
+    its own and checks that each key is a pair (i, j) with 0 <= i < j < n and each J
+    an integer, raising ``ValueError`` naming any other coupling.  ``couplings`` is
+    then a read-only view of that dict, so no caller can change what was checked."""
 
     n: int
     couplings: Mapping
@@ -61,21 +61,13 @@ class CouplingGraph:
 
     def __post_init__(self):
         n = self.n
-        for key, value in self.couplings.items():
+        couplings = dict(self.couplings)
+        for key, value in couplings.items():
             i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
             if not (type(i) in _INTS and type(j) in _INTS and type(value) in _INTS
                     and 0 <= i < j < n):
                 raise ValueError(f"coupling {key!r}: {value!r}, want int J, 0 <= i < j < {n}")
-        object.__setattr__(self, "couplings", MappingProxyType(self.couplings))
-
-    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Couplings as parallel arrays in sorted key order."""
-        if not self.couplings:
-            return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-        keys = sorted(self.couplings)
-        pairs = np.array(keys, dtype=np.int64)
-        values = np.array([self.couplings[k] for k in keys], dtype=np.int64)
-        return pairs, values
+        object.__setattr__(self, "couplings", MappingProxyType(couplings))
 
     def adjacency_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each qubit's (neighbour, coupling) pairs, built once per graph:
@@ -91,11 +83,7 @@ class CouplingGraph:
         return tuple(map(tuple, adj))
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.couplings:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.fromiter(map(len, self.adjacency_lists()), dtype=np.int64, count=self.n)
 
 
 def _merged_arrays(instance: BpspInstance):
@@ -128,7 +116,7 @@ def to_ising(instance: BpspInstance) -> CouplingGraph:
     pairs, values, constant, _ = _merged_arrays(instance)
     # Column lists, not one list per row, keep the transient memory small at large n.
     lo, hi = pairs.T.tolist()
-    couplings = dict(zip(zip(lo, hi), values.tolist()))
+    couplings = zip(zip(lo, hi), values.tolist())
     return CouplingGraph(n=instance.n, couplings=couplings, constant=constant)
 
 
@@ -253,12 +241,9 @@ def tree_gauge(graph: CouplingGraph) -> frozenset:
 
 def apply_gauge(graph: CouplingGraph, flips: frozenset | set) -> CouplingGraph:
     """Negate couplings with exactly one endpoint in the flip set."""
-    new = {}
-    for (i, j), val in graph.couplings.items():
-        if (i in flips) != (j in flips):
-            val = -val
-        new[(i, j)] = val
-    return CouplingGraph(n=graph.n, couplings=new, constant=graph.constant)
+    flipped = (((i, j), -val if (i in flips) != (j in flips) else val)
+               for (i, j), val in graph.couplings.items())
+    return CouplingGraph(n=graph.n, couplings=flipped, constant=graph.constant)
 
 
 def graph_to_json(graph: CouplingGraph) -> dict:

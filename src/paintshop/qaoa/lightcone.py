@@ -70,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import TooLarge
 from ..ising import CouplingGraph
 from .params import PHASE_SCALE, QaoaParams
 from .statevector import _MAX_QUBITS, EnergySummary, simulate_state
@@ -78,7 +79,7 @@ from .statevector import _MAX_QUBITS, EnergySummary, simulate_state
 SUPPORT_CAP = 26
 
 
-class SupportTooLarge(ValueError):
+class SupportTooLarge(TooLarge):
     """A lightcone support exceeds the qubit cap; rejected, not approximated."""
 
 
@@ -126,7 +127,7 @@ def _corr_statevector(adjacency, edge, support, params) -> float:
     index = {q: t for t, q in enumerate(sorted(support))}
     k = len(index)
     included = _included_edges(adjacency, index)
-    local = {(index[a], index[b]): val for (a, b), val in included.items()}
+    local = (((index[a], index[b]), val) for (a, b), val in included.items())
     graph = CouplingGraph(n=k, couplings=local, constant=0)
     state = simulate_state(graph, params, cap_qubits=k)
     probs = np.abs(state.amplitudes) ** 2

@@ -24,6 +24,10 @@ from .params import PHASE_SCALE, QaoaParams
 # and a scratch buffer as large.
 _MAX_QUBITS = 30
 
+# Sampling draws one float64 uniform and one int64 index per shot: 16 bytes, so
+# 16 GiB at 2^30 shots (``sample`` adds 9 bytes per shot and qubit for its bits).
+_MAX_SHOTS = 1 << 30
+
 
 class DegenerateBaseline(ZeroDivisionError):
     """The random baseline coincides with the simulated mean."""
@@ -51,16 +55,14 @@ def pair_energy_vector(graph: CouplingGraph) -> np.ndarray:
     bits between them.
     """
     energies = np.zeros(1 << graph.n, dtype=np.int64)
-    below: list[dict] = [{} for _ in range(graph.n)]
-    for (i, k), value in graph.couplings.items():
-        below[k][i] = value
-    for k, couplings in enumerate(below):
+    for k, neighbours in enumerate(graph.adjacency_lists()):
         lower, field = energies[: 1 << k], energies[1 << k : 2 << k]
-        if not couplings:
+        below = sorted((i, value) for i, value in neighbours if i < k)
+        if not below:
             field[:] = lower
             continue
         filled = 0  # field[:filled] holds h over the bits up to the last i; beyond, zeros
-        for i, value in sorted(couplings.items()):
+        for i, value in below:
             if filled:
                 field[: 1 << i].reshape(-1, filled)[1:] = field[:filled]
             np.subtract(field[: 1 << i], value, out=field[1 << i : 2 << i])
@@ -177,6 +179,8 @@ def z_expectations(state: Statevector) -> np.ndarray:
 def _sample_indices(
     state: Statevector, shots: int, rng: np.random.Generator | int
 ) -> np.ndarray:
+    if shots > _MAX_SHOTS:
+        raise TooLarge(f"sampling capped at {_MAX_SHOTS} shots, got {shots}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     probs = np.abs(state.amplitudes) ** 2

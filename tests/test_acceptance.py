@@ -202,12 +202,9 @@ def test_criterion_10_identity_suite():
         for idx in (0, (1 << n) - 1, int(rng.integers(0, 1 << n))):
             e = adjacency_energy(graph, spins[idx])
             assert costs[idx] == (e + 2 * n - 1) / 2
-        pa, pv = graph.pair_arrays()
-        pair_term = (
-            (spins[:, pa[:, 0]] * spins[:, pa[:, 1]]) @ pv
-            if len(pv)
-            else np.zeros(1 << n, dtype=np.int64)
-        )
+        pa = np.array(list(graph.couplings), dtype=np.int64).reshape(-1, 2)
+        pv = np.array(list(graph.couplings.values()), dtype=np.int64)
+        pair_term = (spins[:, pa[:, 0]] * spins[:, pa[:, 1]]) @ pv
         energies = graph.constant + pair_term
         assert np.array_equal(costs, (energies + 2 * n - 1) // 2)
     # (b) single-qubit expectations vanish for every table schedule

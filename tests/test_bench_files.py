@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-BENCH_FILES = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def test_some_bench_file_is_checked_in():
@@ -37,3 +39,12 @@ def test_workload_statistics_are_consistent(bench):
 
 def test_some_workload_has_ten_pairs(bench):
     assert max(w["pairs"] for w in bench["workloads"].values()) >= 10
+
+
+def test_names_come_from_the_benchmark(bench):
+    # A workload key may carry a variant after "@" (another seed, another environment).
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    metrics = {m["name"] for m in BENCHMARK["end_to_end"]}
+    for key, workload in bench["workloads"].items():
+        assert key.split("@")[0] in workloads, key
+        assert set(workload["metrics"]) <= metrics, key

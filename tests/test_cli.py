@@ -74,6 +74,15 @@ class TestGen:
         assert run_cli("gen", "--n", "3", "--seed", "-1",
                        "--out", str(tmp_path / "x.jsonl")) == 2
 
+    @pytest.mark.parametrize("n", [2**30 + 1, 10**20])
+    def test_cars_beyond_the_ceiling_are_a_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "x.jsonl"
+        assert run_cli("gen", "--n", str(n), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: random words capped at {2**30} cars, got {n}"
+        ]
+        assert not out.exists()
+
 
 class TestSolve:
     def test_columns_and_determinism(self, instances, tmp_path):
@@ -229,6 +238,21 @@ class TestQaoa:
             "error: statevector capped at 30 qubits, got 70"
         ]
 
+    @pytest.mark.parametrize("shots", [2**30 + 1, 10**20])
+    def test_shots_beyond_the_ceiling_are_a_usage_error(self, instances, tmp_path,
+                                                        capsys, shots):
+        assert run_cli("qaoa", "--p", "1", "--shots", str(shots), "--in", str(instances),
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sampling capped at {2**30} shots, got {shots}"
+        ]
+
+    def test_support_beyond_the_cap_is_a_usage_error(self, instances, tmp_path, capsys):
+        assert run_cli("qaoa", "--p", "1", "--method", "lightcone", "--cap-qubits", "2",
+                       "--in", str(instances), "--out", str(tmp_path / "x.csv")) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"error: support of \(\d+, \d+\) has \d+ qubits, cap is 2", line)
+
     def test_shots_with_lightcone_is_a_usage_error(self, instances, tmp_path):
         assert run_cli("qaoa", "--p", "1", "--method", "lightcone",
                        "--shots", "10", "--in", str(instances),
@@ -289,6 +313,16 @@ class TestExperiment:
                        "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: no couplings in the given instances"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["table1-p1", "fig2", "heuristic-asymptotics",
+                                      "coupling-stats"])
+    def test_cars_beyond_the_ceiling_are_a_usage_error(self, tmp_path, capsys, name):
+        out = tmp_path / "x"
+        assert run_cli("experiment", name, "--n", str(2**30 + 1), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: random words capped at {2**30} cars, got {2**30 + 1}"
+        ]
         assert not out.exists()
 
     def test_unknown_name_rejected_by_parser(self, tmp_path):

@@ -187,6 +187,11 @@ class TestBruteForce:
         assert res.opt_changes >= 1
 
 
+def test_random_words_beyond_2_to_the_30_cars_are_refused():
+    with pytest.raises(TooLarge, match=f"capped at {2**30} cars, got {2**30 + 1}"):
+        random_instance(2**30 + 1, 0)
+
+
 class TestNamedInstances:
     def test_hard_instance_is_nested_ladder(self):
         inst = hard_instance(5)

@@ -16,13 +16,16 @@ from paintshop import (
     circuit_from_json,
     coloring_to_spins,
     coupling_stats,
+    expectation,
     graph_from_json,
     graph_to_json,
     instance_rng,
+    lightcone_expectation,
     random_instance,
     spins_to_coloring,
     to_ising,
     tree_gauge,
+    tree_params,
     validate,
 )
 from paintshop.ising import adjacency_energy, hamiltonian_energy
@@ -219,15 +222,18 @@ class TestTreeGauge:
     ({(0, 1): True}, "(0, 1): True"),
 ], ids=["reversed", "both-orders", "self-pair", "beyond-n", "negative", "float-J", "bool-J"])
 def test_construction_rejects_every_other_coupling_form(couplings, named):
-    with pytest.raises(ValueError, match=re.escape(f"coupling {named}")):
-        CouplingGraph(n=3, couplings=couplings, constant=0)
+    # as a mapping, and as the ((i, j), J) items that the builders pass
+    for given in (couplings, list(couplings.items()), iter(couplings.items())):
+        with pytest.raises(ValueError, match=re.escape(f"coupling {named}")):
+            CouplingGraph(n=3, couplings=given, constant=0)
 
 
-@pytest.mark.parametrize("graph", [
-    CouplingGraph(n=4, couplings={(0, 1): 1, (1, 2): -1, (2, 3): 1}, constant=0),
-    to_ising(random_instance(50, instance_rng(5, 0))),
+@pytest.mark.parametrize("graph, energy", [
+    (CouplingGraph(n=4, couplings={(0, 1): 1, (1, 2): -1, (2, 3): 1}, constant=0),
+     expectation),
+    (to_ising(random_instance(50, instance_rng(5, 0))), lightcone_expectation),
 ], ids=["hand-built", "to-ising"])
-def test_couplings_cannot_change_after_the_check(graph):
+def test_couplings_cannot_change_after_the_check(graph, energy):
     """A key added after construction would skip the check; before the
     couplings were read-only, (1, 0) made ``expectation`` fail in a reshape."""
     with pytest.raises(TypeError):
@@ -235,6 +241,14 @@ def test_couplings_cannot_change_after_the_check(graph):
     with pytest.raises(TypeError):
         del graph.couplings[next(iter(graph.couplings))]
     assert (1, 0) not in graph.couplings
+    # Nor through the dict a graph was built from: the graph keeps its own.
+    given = dict(graph.couplings)
+    owned = CouplingGraph(n=graph.n, couplings=given, constant=graph.constant)
+    before = energy(owned, tree_params(1)).mean_adjacency_energy
+    given[(1, 0)] = 1
+    del given[next(iter(graph.couplings))]
+    assert owned.couplings == graph.couplings
+    assert energy(owned, tree_params(1)).mean_adjacency_energy == before
 
 
 class TestGraphJson:

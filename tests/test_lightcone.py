@@ -1,6 +1,7 @@
 """Restricted-support evaluation against the full dense simulation."""
 import tracemalloc
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -105,22 +106,23 @@ class TestSupport:
                     )
                     assert list(task.included_edges) == expected
 
-    def test_public_calls_build_the_adjacency_once(self):
-        class CountedCouplings(dict):
-            passes = 0
+    def test_public_calls_build_the_adjacency_once(self, monkeypatch):
+        built = []
+        build = CouplingGraph._adjacency.func
 
-            def items(self):
-                self.passes += 1
-                return super().items()
+        def counted(graph):
+            built.append(graph)
+            return build(graph)
 
-        word = to_ising(random_instance(60, instance_rng(41, 400)))
-        couplings = CountedCouplings(word.couplings)
-        g = CouplingGraph(n=word.n, couplings=couplings, constant=word.constant)
-        checked = couplings.passes  # construction checks every coupling once
-        for edge in sorted(couplings):
+        adjacency = cached_property(counted)
+        adjacency.__set_name__(CouplingGraph, "_adjacency")
+        monkeypatch.setattr(CouplingGraph, "_adjacency", adjacency)
+        g = to_ising(random_instance(60, instance_rng(41, 400)))
+        for edge in sorted(g.couplings):
             lightcone_support(g, edge, 2)
             edge_correlation(g, edge, tree_params(1))
-        assert couplings.passes - checked == 1
+        # the dense engine's subgraphs build adjacencies of their own
+        assert sum(graph is g for graph in built) == 1
 
     def test_cap_raises(self):
         g = to_ising(random_instance(200, instance_rng(41, 300)))

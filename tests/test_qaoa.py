@@ -198,6 +198,11 @@ class TestDenseKernels:
         graphs = [CouplingGraph(n=5, couplings={}, constant=0)]
         graphs += [_random_graph(rng, n) for n in range(1, 13)]
         graphs += [_random_graph(rng, n, values=(-2, 2)) for n in (2, 7, 11)]
+        # keys inserted in shuffled order, so the adjacency lists neighbours out of order
+        for n in (4, 8, 12):
+            items = list(_random_graph(rng, n).couplings.items())
+            rng.shuffle(items)
+            graphs.append(CouplingGraph(n=n, couplings=items, constant=0))
         for g in graphs:
             got = pair_energy_vector(g)
             assert got.dtype == np.int64
