@@ -32,10 +32,19 @@ Two exact evaluation engines sit behind the contract:
   support (the generic case on the near-4-regular graphs of large random
   words).
 
-The automatic choice runs the traced engine when 4^|kept|, an upper bound
-on its tensor, is below 2^|support|, and a traced run asked for by name
-needs 4^|kept| <= 2^cap, so under the clipped cap neither engine holds
-more than 2^30 entries.
+The automatic choice compares the axes of the traced tensor with the
+|support| of the dense state.  A core qubit (distance < p - 1) holds a row
+and a column axis.  At p=2 the core is i and j, and a shell qubit
+(distance p - 1) holds one axis, merged as soon as it enters, so the
+traced engine runs when 2|core| + |shell| < |support|: on the n=16 words
+of ``fig2`` that sends 6 of 1727 engine runs dense.  At p >= 3 a shell
+qubit waits for its core neighbours before it merges; counted once, it
+sent 8 lightcones of three n=20 words at p=3 to the traced engine, which
+ran 7 of them 1.5 to 17 times slower than the dense one.  So there it
+counts twice: 2|kept| < |support|.  Either way the choice also needs
+4^|kept|, an upper bound on the traced tensor, to be at most 2^cap, as a
+traced run asked for by name does, so under the clipped cap neither
+engine holds more than 2^30 entries.
 
 ``lightcone_expectation`` memoizes every lightcone for one call, storing
 sign(J_ij) <Z_i Z_j>: only couplings with an endpoint in the kept ball act
@@ -123,7 +132,7 @@ def lightcone_support(graph: CouplingGraph, edge: tuple, p: int) -> LightconeTas
 
 
 def _corr_statevector(adjacency, edge, support, params) -> float:
-    """<Z_i Z_j> from the dense simulator on the support, in 40 bytes per amplitude."""
+    """<Z_i Z_j> from the dense simulator on the support, in 32 bytes per amplitude."""
     index = {q: t for t, q in enumerate(sorted(support))}
     k = len(index)
     included = _included_edges(adjacency, index)
@@ -269,21 +278,26 @@ def edge_correlation(
         kept = sum(d < p for d in dist.values()) if engine == "traced" else 0
         if 4**kept > 2**cap:
             raise SupportTooLarge(f"traced {edge} plans 4^{kept} entries, cap is 2^{cap}")
-        return _run_engine(adjacency, edge, dist, params, engine)
+        return _run_engine(adjacency, edge, dist, params, engine, cap)
     if p == 1:
         return _corr_closed(adjacency, edge, params)
     key = _memo_key(adjacency, edge, dist, p)
     sign = 1.0 if graph.couplings[edge] > 0 else -1.0
     if key not in _memo:
-        _memo[key] = sign * _run_engine(adjacency, edge, dist, params, engine)
+        _memo[key] = sign * _run_engine(adjacency, edge, dist, params, engine, cap)
     return sign * _memo[key]
 
 
-def _run_engine(adjacency, edge, dist, params, engine) -> float:
+def _run_engine(adjacency, edge, dist, params, engine, cap) -> float:
     """<Z_i Z_j> from the named engine, or the automatic choice."""
     if engine == "auto":
-        kept = sum(d < params.p for d in dist.values())
-        engine = "traced" if 2 * kept < len(dist) else "statevector"
+        p = params.p
+        core = sum(d < p - 1 for d in dist.values())
+        shell = sum(d == p - 1 for d in dist.values())
+        # shell qubits count once at p=2 and twice beyond (module docstring)
+        axes = 2 * core + (shell if p == 2 else 2 * shell)
+        traced = axes < len(dist) and 4 ** (core + shell) <= 2**cap
+        engine = "traced" if traced else "statevector"
     if engine == "traced":
         return _corr_traced(adjacency, dist, params)
     if engine == "statevector":

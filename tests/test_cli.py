@@ -2,12 +2,16 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import paintshop
 from paintshop import (
     DegenerateBaseline,
     NonUnitCoupling,
@@ -56,6 +60,18 @@ def instances(tmp_path):
     assert run_cli("gen", "--n", "12", "--count", "6", "--seed", "3",
                    "--out", str(path)) == 0
     return path
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(paintshop.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "paintshop", "--help"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: paintshop ")
 
 
 class TestGen:

@@ -156,6 +156,95 @@ class TestSupport:
         assert runs == []
 
 
+def spy_engines(monkeypatch, stub=None):
+    """List that records the engine of every run from here on; with ``stub``,
+    the engines are not run and return it."""
+    chosen = []
+    for name in ("traced", "statevector"):
+        engine = getattr(lightcone, f"_corr_{name}")
+
+        def spied(*args, name=name, engine=engine):
+            chosen.append(name)
+            return engine(*args) if stub is None else stub
+
+        monkeypatch.setattr(lightcone, f"_corr_{name}", spied)
+    return chosen
+
+
+#: The coupling (0, 1), three shell qubits at each end and one boundary qubit
+#: beyond each: at p=2 the support holds 14 qubits, 8 of them kept.
+SHELL_STAR = CouplingGraph(n=14, couplings={
+    (0, 1): 1, (0, 2): -1, (0, 3): 2, (0, 4): 1, (1, 5): -2, (1, 6): 1, (1, 7): -1,
+    (2, 8): 1, (3, 9): -1, (4, 10): 2, (5, 11): 1, (6, 12): -2, (7, 13): 1,
+}, constant=0)
+
+
+class TestAutomaticChoice:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(4, 12), p=st.integers(2, 3))
+    def test_traced_keeps_every_old_choice_and_matches_the_dense_engine(self, data, n, p):
+        """The rule once ran traced when 2|kept| < |support|.  Since
+        2|core| + |shell| <= 2|kept| and 4^|kept| < 2^|support| <= 2^cap,
+        each such lightcone stays traced; at p >= 3 the rule is unchanged."""
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen_pairs = data.draw(st.lists(st.sampled_from(pairs), min_size=n,
+                                          max_size=2 * n, unique=True))
+        couplings = {e: data.draw(st.sampled_from([-2, -1, 1, 2])) for e in chosen_pairs}
+        g = CouplingGraph(n=n, couplings=couplings, constant=0)
+        params = tree_params(p)
+        adjacency = g.adjacency_lists()
+        for edge in sorted(g.couplings):
+            dist = lightcone._distances(adjacency, edge, p)
+            kept = sum(d < p for d in dist.values())
+            dense = edge_correlation(g, edge, params, engine="statevector")
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                chosen = spy_engines(monkeypatch)
+                auto = edge_correlation(g, edge, params)
+            if 2 * kept < len(dist):
+                assert chosen == ["traced"]
+            elif p > 2:
+                assert chosen == ["statevector"]
+            assert auto == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_choice_on_loopy_n16_words(self, monkeypatch, p):
+        """At p=2 the old rule sent most of these lightcones dense.  At p=3 a
+        shell qubit still counts twice, so the choice is the old one, also
+        where counting it once would pick the traced engine."""
+        params = tree_params(p)
+        chosen, old, once = spy_engines(monkeypatch, stub=0.0), [], 0
+        for k in range(4):
+            g = to_ising(random_instance(16, instance_rng(77, k)))
+            adjacency = g.adjacency_lists()
+            for edge in sorted(g.couplings):
+                dist = lightcone._distances(adjacency, edge, p)
+                core = sum(d < p - 1 for d in dist.values())
+                kept = sum(d < p for d in dist.values())
+                old.append("traced" if 2 * kept < len(dist) else "statevector")
+                once += 2 * kept >= len(dist) > core + kept
+                edge_correlation(g, edge, params)
+        if p == 2:
+            assert chosen.count("traced") > 2 * old.count("traced")
+            assert chosen.count("traced") > 10 * chosen.count("statevector")
+        else:
+            assert once and chosen == old
+
+    def test_traced_plan_is_held_to_the_cap(self, monkeypatch):
+        """2|core| + |shell| = 10 < 14 qubits of support favours the traced
+        engine, but its 4^8 = 2^16 plan exceeds a cap of 14 qubits, so the
+        dense engine runs; at a cap of 16 the traced one does.  Both engines
+        are stubbed, so nothing is allocated."""
+        params = tree_params(2)
+        chosen = spy_engines(monkeypatch, stub=0.0)
+        edge_correlation(SHELL_STAR, (0, 1), params, support_cap=14)
+        lightcone_expectation(SHELL_STAR, params, support_cap=14)
+        assert chosen[0] == "statevector" and chosen[1] == "statevector"
+        del chosen[:]
+        edge_correlation(SHELL_STAR, (0, 1), params, support_cap=16)
+        lightcone_expectation(SHELL_STAR, params, support_cap=16)
+        assert chosen[0] == "traced" and chosen[1] == "traced"
+
+
 class TestEngines:
     def test_traced_equals_dense_per_edge(self):
         count = 0
@@ -176,8 +265,8 @@ class TestEngines:
 
     def test_engines_agree_on_a_23_qubit_support(self):
         # The coupling (0, 1) and 21 leaves: at p=1 the traced engine keeps two
-        # qubits, while the dense one runs all 23 in complex128 at 40 bytes per
-        # amplitude, 320 MiB; the test takes about 2.5 s and 350 MiB peak RSS.
+        # qubits, while the dense one runs all 23 in complex128 at 32 bytes per
+        # amplitude, 256 MiB; the test takes about 1.5 s and 300 MiB peak RSS.
         couplings = {(0, 1): 2}
         for k in range(2, 23):
             couplings[(k % 2, k)] = (1, -1, 2, -2)[k % 4]
@@ -188,11 +277,11 @@ class TestEngines:
         assert dense == pytest.approx(traced, abs=1e-12)
 
     def test_statevector_engine_stays_within_its_footprint(self):
-        # Per amplitude: the complex128 state, its scratch buffer and the int64
-        # energies while simulating (16 + 16 + 8); then the state, float64
-        # probabilities and float64 spins (16 + 8 + 8).  256 KiB covers numpy's
-        # 8192-element iteration buffer, the O(m) phase tables and Python
-        # objects.
+        # Per amplitude: the complex128 state, a scratch buffer for half of it
+        # and the int64 energies while simulating (16 + 8 + 8); then the state,
+        # float64 probabilities and float64 spins (16 + 8 + 8).  256 KiB covers
+        # numpy's 8192-element iteration buffer, the O(m) phase tables and
+        # Python objects.
         k = 16
         g = to_ising(random_instance(k, instance_rng(43, 0)))
         support = dict.fromkeys(range(k))
@@ -203,7 +292,7 @@ class TestEngines:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**k + 256 * 1024
+        assert peak <= 32 * 2**k + 256 * 1024
 
     def test_traced_engine_never_holds_the_whole_density_matrix(self):
         # Each 8-kept-qubit loopy lightcone of word 0 at p=2: the two core

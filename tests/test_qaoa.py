@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from paintshop import (
@@ -34,6 +36,7 @@ from paintshop import (
     z_expectations,
 )
 from paintshop.qaoa import Statevector, pair_energy_vector, statevector
+from paintshop.qaoa.params import PHASE_SCALE
 
 # independently recomputed dense references (see module docstring)
 PAIR_WORD = [0, 1, 0, 1]          # single coupling J=-1
@@ -187,6 +190,23 @@ def _on_qubit(mat, qubit, n):
     return out
 
 
+def _full_state_loop(graph, params):
+    """The dense loop that evolves every amplitude: each level's phases, then
+    the mixer on every bit."""
+    n = graph.n
+    reach = sum(abs(value) for value in graph.couplings.values())
+    shifted = pair_energy_vector(graph) + reach
+    levels = np.arange(-reach, reach + 1, dtype=np.int64)
+    state = np.full(1 << n, 1 / np.sqrt(1 << n), dtype=np.complex128)
+    scratch = np.empty_like(state)
+    for gamma, beta in params.angles:
+        table = np.exp((-1j * gamma * PHASE_SCALE) * levels)
+        np.multiply(state, table[shifted], out=state)
+        for bit in range(n):
+            statevector._rotate_x(state, beta, (bit,), scratch)
+    return state
+
+
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -255,6 +275,25 @@ class TestDenseKernels:
             got = simulate_state(g, QaoaParams(angles)).amplitudes
             assert np.abs(got - psi).max() <= 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 14), p=st.integers(1, 5))
+    def test_half_state_matches_the_full_state_loop_bit_for_bit(self, data, n, p):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        values = st.sampled_from([-3, -2, -1, 1, 2, 3])
+        g = CouplingGraph(n=n, couplings={e: data.draw(values) for e in chosen}, constant=0)
+        angle = st.floats(-np.pi, np.pi, allow_nan=False)
+        params = QaoaParams(tuple((data.draw(angle), data.draw(angle)) for _ in range(p)))
+        amps = simulate_state(g, params).amplitudes
+        assert np.array_equal(amps, _full_state_loop(g, params))
+        assert np.array_equal(amps, amps[::-1])
+
+    def test_no_qubits_give_the_unit_amplitude(self):
+        g = CouplingGraph(n=0, couplings={}, constant=0)
+        amps = simulate_state(g, tree_params(3)).amplitudes
+        assert amps.dtype == np.complex128
+        assert np.array_equal(amps, [1])
+
     def test_z_expectations_match_the_exact_sum(self):
         rng = np.random.default_rng(65)
         for k in range(1, 11):
@@ -282,6 +321,22 @@ class TestDenseKernels:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * 2**n + 256 * 1024
+
+    def test_simulate_state_stays_within_its_stated_footprint(self):
+        # Per amplitude: the complex128 state (16), the int64 energies (8) and
+        # a complex128 scratch buffer for the half of the state that is
+        # evolved (16 / 2): 32 bytes.  256 KiB covers numpy's 8192-element
+        # iteration buffer (128 KiB for the reversed half), the O(m) phase
+        # tables and Python objects.
+        n = 18
+        g = to_ising(random_instance(n, instance_rng(66, 0)))
+        tracemalloc.start()
+        try:
+            simulate_state(g, tree_params(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**n + 256 * 1024
 
 
 class TestSampling:
