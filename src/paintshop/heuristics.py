@@ -4,14 +4,18 @@ greedy            walk with a current color, change only when forced
                   (mean cost ~ n/2 on random words)
 red_first         paint every first occurrence with color 0 (~ 2n/3)
 recursive_greedy  peel cars off the tail, recolor them optimally on the way
-                  back in (~ 2n/5)
+                  back in (~ 2n/5); where each car returns comes from one
+                  bulk nearest-smaller search over the word labeled by peel
+                  order, not from a replay of the peel
+
+At n=100 000 (2-vCPU host, Python 3.11, numpy 2.4) recursive_greedy takes
+about 0.04 s per random word with a tracemalloc peak of 6.0 MiB, and greedy
+about 0.01 s and 0.1 MiB.
 
 ``greedy_subsystem`` exposes the acyclic n-1 coupling subsystem whose ground
 states are exactly the greedy solutions.
 """
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
@@ -44,17 +48,85 @@ def red_first(instance: BpspInstance) -> Coloring:
     return Coloring(np.zeros(instance.n, dtype=np.int8))
 
 
+def min_tree(values: np.ndarray) -> list[np.ndarray]:
+    """Aligned block minima of ``values``, the search structure of ``nearest_smaller``.
+
+    Level l holds the minimum of each aligned block of 2^l values, the last
+    block possibly short, followed by one end entry equal to the dtype's
+    maximum, which no value is below.  Level 0 is a copy of ``values``, and
+    the levels above it hold about as many entries again.
+    """
+    top = np.iinfo(values.dtype).max
+    level = np.empty(values.size + 1, values.dtype)
+    level[:-1], level[-1] = values, top
+    tree = [level]
+    while level.size > 2:
+        half = level.size // 2  # an odd last block pairs with the end entry
+        level = np.empty(half + 1, values.dtype)
+        np.minimum(tree[-1][: 2 * half : 2], tree[-1][1 : 2 * half : 2], out=level[:half])
+        level[half] = top
+        tree.append(level)
+    return tree
+
+
+def nearest_smaller(tree: list[np.ndarray], at: np.ndarray, right: bool = False) -> np.ndarray:
+    """For each position i in ``at``, the nearest position j < i (j > i when
+    ``right``) whose value is strictly below the value at i, or the number of
+    values when there is none.
+
+    ``tree`` is ``min_tree(values)``; the result has the dtype of ``values``,
+    which must hold that number and the length of ``at``.  At each level, the
+    block next to the one holding i, on the searched side, reaches at least
+    as far as the blocks of the levels below, so the first of these blocks
+    whose minimum is below i's value holds the nearest smaller value.  Each
+    query climbs to that block, then descends into it, taking the child
+    nearer to i whenever its minimum is below i's value.  That is one
+    vectorized pass per level each way, whatever the values.
+    """
+    values = tree[0]
+    found = np.full(at.size, values.size - 1, values.dtype)
+    idx = np.arange(at.size, dtype=values.dtype)
+    block, v = at.astype(values.dtype), values[at]
+    step = 1 if right else -1
+    for l, level in enumerate(tree[:-1]):
+        block += step  # the next block out; -1 and the last index are the end entry
+        hit = level[block] < v
+        at_hit = np.flatnonzero(hit)
+        c, w = block[at_hit], v[at_hit]
+        for child in reversed(tree[:l]):
+            c *= 2
+            if right:
+                c += child[c] >= w
+            else:
+                c += 1
+                c -= child[c] >= w
+        found[idx[at_hit]] = c
+        del c, w, at_hit  # one level's arrays at a time bound the peak memory
+        keep = np.flatnonzero(~hit)
+        del hit
+        idx, v, block = idx[keep], v[keep], block[keep]
+        block -= step
+        block >>= 1
+        if not idx.size:
+            break
+    return found
+
+
 def recursive_greedy(instance: BpspInstance) -> Coloring:
     """Peel the car owning the final position until one car remains, then
     re-insert the cars in reverse order, giving each the first color that
     changes the fewest of the adjacencies it creates.  Three facts make
-    this one pass over a doubly linked list of positions:
+    this one nearest-smaller search and one pass over the cars:
 
     * The final position of a reduced word is a second occurrence, so cars
-      leave in decreasing order of their second position.
-    * Cars return in the reverse order, and an unlinked position keeps its
-      links (as in dancing links), so re-linking a car's second position and
-      then its first restores the word it left.
+      leave in decreasing order of their second position: rank the cars by
+      it, and the word car k returns to holds exactly the cars ranked below k.
+    * So with each position labeled by its car's rank, car k's first
+      position p1 returns between the nearest positions left and right of p1
+      whose label is below k, the right one capped at its second position p2,
+      and p2 returns after the nearest such position left of p2 (nothing
+      below k lies right of p2).  That is the all-nearest-smaller-values
+      problem over the labels, answered for every car at once.
     * An adjacency of the car's position i with another car's position j
       avoids a change when the first color is color(j) ^ occurrence(i), so
       the cheaper first color is a majority vote, ties toward color 0.  The
@@ -63,33 +135,36 @@ def recursive_greedy(instance: BpspInstance) -> Coloring:
     The car that remains takes first color 0.
     """
     n, m = instance.n, 2 * instance.n
-    first = instance.first_positions()
-    seconds = np.flatnonzero(instance.occurrence == 1)
-    # Memoryviews of the position arrays: every read below is a Python int, not a numpy scalar.
-    firsts, seconds = memoryview(first[instance.sequence[seconds]]), memoryview(seconds)
-    # Doubly linked ring of positions closed by a header at m; typed arrays, no int objects.
-    nxt, prv = array("q", range(1, m + 2)), array("q", range(-1, m))
-    nxt[m], prv[0] = 0, m
-    for k in range(n - 1, 0, -1):
-        p1, p2 = firsts[k], seconds[k]
-        nxt[prv[p1]], prv[nxt[p1]] = nxt[p1], prv[p1]
-        nxt[prv[p2]], prv[nxt[p2]] = nxt[p2], prv[p2]
-    color = bytearray(m + 1)  # per position; the header's byte stays 0
+    # Positions and ranks fit int32 while the "none" position m does.
+    dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
+    seq = instance.sequence
+    seconds = np.flatnonzero(instance.occurrence == 1).astype(dtype)
+    rank = np.empty(n, dtype)  # per car
+    rank[seq[seconds]] = np.arange(n, dtype=dtype)
+    firsts = np.empty(n, dtype)
+    firsts[rank] = instance.first_positions()
+    tree = min_tree(rank[seq])
+    del rank
+    # p2's search goes first: on the pairs word all its queries resolve on one level,
+    # the widest transient of the three, so it is best taken while the least is held.
+    left2 = nearest_smaller(tree, seconds)
+    left1 = nearest_smaller(tree, firsts)
+    right1 = nearest_smaller(tree, firsts, right=True)
+    del tree
+    color = bytearray(m + 1)  # per position; "none" is m, whose byte stays 0
     color[seconds[0]] = 1
-    for k in range(1, n):
-        p1, p2 = firsts[k], seconds[k]
-        nxt[prv[p2]] = prv[nxt[p2]] = p2
-        nxt[prv[p1]] = prv[nxt[p1]] = p1
-        # nxt[p1] == p2 (so prv[p2] == p1) is the car's own adjacency, which does not
-        # vote.  The header m (only ever prv[p1]) must not vote either, but its byte 0
-        # is a vote for 0, which moves no strict majority and no tie toward 0.
-        j = prv[p1]
-        if nxt[p1] == p2:
-            color[p1] = color[j]
+    # Memoryviews: every read below is a Python int, not a numpy scalar.
+    views = (memoryview(a)[1:] for a in (firsts, seconds, left1, right1, left2))
+    for p1, p2, l1, r1, l2 in zip(*views):
+        # r1 > p2 puts p2 next to p1, the car's own adjacency, which does not vote.
+        # "None" (l1 == m) must not vote either, but its byte 0 is a vote for 0,
+        # which moves no strict majority and no tie toward 0.
+        if r1 > p2:
+            color[p1] = color[l1]
         else:
-            color[p1] = color[j] + color[nxt[p1]] + 1 - color[prv[p2]] >= 2
+            color[p1] = color[l1] + color[r1] + 1 - color[l2] >= 2
         color[p2] = 1 - color[p1]
-    return Coloring(np.frombuffer(color, dtype=np.int8)[first])
+    return Coloring(np.frombuffer(color, dtype=np.int8)[instance.first_positions()])
 
 
 #: The sequential heuristics by name; the single source of their CLI names.

@@ -22,6 +22,7 @@ from paintshop import (
     red_first,
     validate,
 )
+from paintshop.heuristics import min_tree, nearest_smaller
 from paintshop.ising import adjacency_energy
 
 
@@ -119,6 +120,41 @@ class TestRedFirst:
             inst = random_instance(n, instance_rng(22, k))
             total += color_changes(inst, red_first(inst)) / n
         assert abs(total / count - 2 / 3) < 0.03
+
+
+def stack_nearest_smaller(values, right=False):
+    """The nearest strictly smaller value on one side of each position, by a stack walk."""
+    out, stack = [len(values)] * len(values), []
+    order = range(len(values) - 1, -1, -1) if right else range(len(values))
+    for i in order:
+        while stack and values[stack[-1]] >= values[i]:
+            stack.pop()
+        if stack:
+            out[i] = stack[-1]
+        stack.append(i)
+    return out
+
+
+class TestNearestSmaller:
+    @given(
+        st.lists(st.integers(0, 9), min_size=1, max_size=70).flatmap(
+            lambda values: st.tuples(
+                st.just(values),
+                st.lists(st.integers(0, len(values) - 1), max_size=2 * len(values)),
+            )
+        ),
+        st.booleans(),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    def test_matches_stack_walk(self, values_at, right, dtype):
+        # Lengths up to 70 give every level an odd tail somewhere; the small
+        # value range gives repeats, which must not count as smaller.
+        values, at = values_at
+        tree = min_tree(np.array(values, dtype=dtype))
+        got = nearest_smaller(tree, np.array(at, dtype=dtype), right=right)
+        assert got.dtype == dtype
+        expected = stack_nearest_smaller(values, right)
+        assert got.tolist() == [expected[i] for i in at]
 
 
 def assert_matches_naive(inst):
@@ -232,9 +268,30 @@ DIGESTS_100K = {
 }
 
 
+#: sha256 of ``recursive_greedy(inst).first_color.tobytes()`` on the structured n=100k
+#: words, which have the longest nearest-smaller chains; recorded from the dancing-links
+#: peel the nearest-smaller search replaced.  The twice-in-order word and the nested
+#: ladder both take first color 0 for every car, one color change each.
+STRUCTURED_DIGESTS_100K = {
+    "twice-in-order": "9192c25b734fcbadbe32dadc28089c60db0e39f90cc20ce2e5733f57261acc0c",
+    "ladder": "9192c25b734fcbadbe32dadc28089c60db0e39f90cc20ce2e5733f57261acc0c",
+    "pairs": "b727cad0bd1f37c227110bdedb465d1fa50aaaaf0655037dd4df1340f4e991fc",
+}
+
+
 @pytest.fixture(scope="module")
 def words_100k():
     return [random_instance(100_000, instance_rng(104, k)) for k in (0, 1)]
+
+
+@pytest.fixture(scope="module")
+def structured_100k():
+    n = 100_000
+    return {
+        "twice-in-order": validate(list(range(n)) * 2),
+        "ladder": hard_instance(n),
+        "pairs": easy_instance(n),
+    }
 
 
 def traced_peak(solver, inst) -> int:
@@ -253,19 +310,27 @@ class TestLargeWords:
         assert fc.dtype == np.int8
         assert hashlib.sha256(fc.tobytes()).hexdigest() == DIGESTS_100K[k, name]
 
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_DIGESTS_100K))
+    def test_structured_colorings_match_recorded_digests(self, structured_100k, name):
+        fc = recursive_greedy(structured_100k[name]).first_color
+        assert hashlib.sha256(fc.tobytes()).hexdigest() == STRUCTURED_DIGESTS_100K[name]
+
     def test_greedy_matches_naive_walk(self, words_100k):
         inst = words_100k[0]
         assert greedy(inst).first_color.tolist() == naive_greedy(inst.sequence.tolist(), inst.n)
 
-    def test_peak_memory_is_the_typed_buffers(self, words_100k):
-        # recursive_greedy holds two rings of 2n+1 int64 links, 16 (2n+1) bytes;
-        # three n-long int64 position arrays (first positions, second positions
-        # and the first position of each second's car), 24n; 2n+1 color bytes
-        # and the n-byte result.  That is 59n + 17 bytes, 5.6 MiB at n=100k;
-        # a quarter more covers the rings' growth from ``range`` and numpy's
-        # transient masks.  A ring of Python ints needs about three times that.
+    def test_peak_memory_is_the_typed_buffers(self, words_100k, structured_100k):
+        # recursive_greedy holds int32 arrays: the positions labeled with their
+        # car's rank as the min-tree's level 0, 8n bytes, and the levels above,
+        # about 8n more; the first and second positions by rank, 8n; the three
+        # neighbour arrays, 12n; then 2n+1 color bytes and the n-byte result.
+        # Each search adds its queries' state (query number, block, value and
+        # answer, 16n) and one level's hits with their int64 indices (up to
+        # 17n).  That stays within 1.25 (59n + 17) bytes, 7.0 MiB at n=100k:
+        # about 63n on random words, and up to 70n on the structured words,
+        # where many queries resolve on one level.
         # greedy reads the word in place and keeps n color bytes.
-        inst = words_100k[0]
-        n = inst.n
-        assert traced_peak(recursive_greedy, inst) <= 1.25 * (59 * n + 17)
-        assert traced_peak(greedy, inst) <= 2 * n
+        for inst in (words_100k[0], *structured_100k.values()):
+            n = inst.n
+            assert traced_peak(recursive_greedy, inst) <= 1.25 * (59 * n + 17)
+            assert traced_peak(greedy, inst) <= 2 * n
