@@ -4,12 +4,12 @@ greedy            walk with a current color, change only when forced
                   (mean cost ~ n/2 on random words)
 red_first         paint every first occurrence with color 0 (~ 2n/3)
 recursive_greedy  peel cars off the tail, recolor them optimally on the way
-                  back in (~ 2n/5); where each car returns comes from one
-                  bulk nearest-smaller search over the word labeled by peel
-                  order, not from a replay of the peel
+                  back in (~ 2n/5); a car's second position returns right
+                  after the previous car's, its first position where two
+                  nearest-smaller searches over the word in peel order put it
 
 At n=100 000 (2-vCPU host, Python 3.11, numpy 2.4) recursive_greedy takes
-about 0.04 s per random word with a tracemalloc peak of 6.0 MiB, and greedy
+about 0.05 s per random word with a tracemalloc peak of 5.6 MiB, and greedy
 about 0.01 s and 0.1 MiB.
 
 ``greedy_subsystem`` exposes the acyclic n-1 coupling subsystem whose ground
@@ -116,17 +116,18 @@ def recursive_greedy(instance: BpspInstance) -> Coloring:
     """Peel the car owning the final position until one car remains, then
     re-insert the cars in reverse order, giving each the first color that
     changes the fewest of the adjacencies it creates.  Three facts make
-    this one nearest-smaller search and one pass over the cars:
+    this two nearest-smaller searches and one pass over the cars:
 
     * The final position of a reduced word is a second occurrence, so cars
       leave in decreasing order of their second position: rank the cars by
       it, and the word car k returns to holds exactly the cars ranked below k.
-    * So with each position labeled by its car's rank, car k's first
-      position p1 returns between the nearest positions left and right of p1
-      whose label is below k, the right one capped at its second position p2,
-      and p2 returns after the nearest such position left of p2 (nothing
-      below k lies right of p2).  That is the all-nearest-smaller-values
-      problem over the labels, answered for every car at once.
+      It ends at car k-1's second position ``end``, and car k's second
+      position p2 returns right after it.
+    * With each position labeled by its car's rank, car k's first position
+      p1 returns between the nearest positions left and right of p1 whose
+      label is below k: the all-nearest-smaller-values problem over the
+      labels, answered for every car at once.  When p1 > end, nothing below
+      k lies right of p1, so p1 also returns right after ``end``, next to p2.
     * An adjacency of the car's position i with another car's position j
       avoids a change when the first color is color(j) ^ occurrence(i), so
       the cheaper first color is a majority vote, ties toward color 0.  The
@@ -145,24 +146,21 @@ def recursive_greedy(instance: BpspInstance) -> Coloring:
     firsts[rank] = instance.first_positions()
     tree = min_tree(rank[seq])
     del rank
-    # p2's search goes first: on the pairs word all its queries resolve on one level,
-    # the widest transient of the three, so it is best taken while the least is held.
-    left2 = nearest_smaller(tree, seconds)
     left1 = nearest_smaller(tree, firsts)
     right1 = nearest_smaller(tree, firsts, right=True)
     del tree
     color = bytearray(m + 1)  # per position; "none" is m, whose byte stays 0
     color[seconds[0]] = 1
     # Memoryviews: every read below is a Python int, not a numpy scalar.
-    views = (memoryview(a)[1:] for a in (firsts, seconds, left1, right1, left2))
-    for p1, p2, l1, r1, l2 in zip(*views):
-        # r1 > p2 puts p2 next to p1, the car's own adjacency, which does not vote.
-        # "None" (l1 == m) must not vote either, but its byte 0 is a vote for 0,
-        # which moves no strict majority and no tie toward 0.
-        if r1 > p2:
-            color[p1] = color[l1]
+    views = (memoryview(a)[1:] for a in (firsts, seconds, left1, right1))
+    for p1, p2, l1, r1, end in zip(*views, memoryview(seconds)[:-1]):
+        # p1 > end puts p1 next to p2, the car's own adjacency, which does not vote.
+        # Otherwise r1 < p2; "none" (l1 == m) must not vote either, but its byte 0
+        # is a vote for 0, which moves no strict majority and no tie toward 0.
+        if p1 > end:
+            color[p1] = color[end]
         else:
-            color[p1] = color[l1] + color[r1] + 1 - color[l2] >= 2
+            color[p1] = color[l1] + color[r1] + 1 - color[end] >= 2
         color[p2] = 1 - color[p1]
     return Coloring(np.frombuffer(color, dtype=np.int8)[instance.first_positions()])
 

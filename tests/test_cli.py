@@ -367,6 +367,19 @@ class TestExperiment:
         assert (summary["n"], summary["count"]) == (300, 10)
         assert seen == [300] * 10 and len(rows) == 10
 
+    def test_fig3_rows_and_minima(self):
+        sizes, alphas = (4, 5, 6), ("1", "2", "3")
+        rows, summary = experiments.run_fig3(sizes=sizes, count=20)
+        assert len(rows) == 60
+        for row in rows:
+            masses = [row[f"p_alpha_{a}"] for a in alphas]
+            assert all(0 <= m <= 1 for m in masses) and masses == sorted(masses)
+        for a in alphas:
+            assert summary["min_p_alpha"][a] == [
+                min(row[f"p_alpha_{a}"] for row in rows if row["n"] == n) for n in sizes
+            ]
+        assert experiments.run_fig3(sizes=sizes, count=20) == (rows, summary)
+
     def test_cli_writes_the_runner_result(self, tmp_path):
         name = "heuristic-asymptotics"
         out = tmp_path / "cli"

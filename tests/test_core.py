@@ -16,17 +16,21 @@ from paintshop import (
     BadIdentifier,
     BadRecord,
     Coloring,
+    Statevector,
     TooLarge,
     WrongMultiplicity,
     brute_force_opt,
+    circuit_from_json,
     color_changes,
     easy_instance,
     expand,
+    graph_from_json,
     hard_instance,
     instance_rng,
     random_guess_expectation,
     random_instance,
     read_jsonl,
+    state_fidelity,
     validate,
     write_jsonl,
 )
@@ -192,6 +196,22 @@ def test_random_words_beyond_2_to_the_30_cars_are_refused():
         random_instance(2**30 + 1, 0)
 
 
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: random_instance(0, 0), WrongMultiplicity, "n must be >= 1"),
+    (lambda: hard_instance(0), WrongMultiplicity, "n must be >= 1"),
+    (lambda: easy_instance(-1), WrongMultiplicity, "n must be >= 1"),
+    (lambda: graph_from_json({"n": -1, "constant": 0, "couplings": []}), ValueError,
+     "graph n must be >= 0, got -1"),
+    (lambda: circuit_from_json({"n": -1, "gates": []}), ValueError,
+     "circuit n must be a non-negative int, got -1"),
+    (lambda: state_fidelity(Statevector((0,), np.ones(2)), Statevector((1,), np.ones(2))),
+     ValueError, "states are over different qubits"),
+], ids=["random-n0", "hard-n0", "easy-n-1", "graph-n-1", "circuit-n-1", "fidelity-qubits"])
+def test_out_of_range_inputs_raise(call, error, text):
+    with pytest.raises(error, match=text):
+        call()
+
+
 class TestNamedInstances:
     def test_hard_instance_is_nested_ladder(self):
         inst = hard_instance(5)
@@ -277,6 +297,11 @@ class TestJsonl:
         with pytest.raises(error) as info:
             read_jsonl(path)
         assert str(info.value).startswith(text)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.jsonl"
+        path.write_text('{"n":1,"sequence":[0,0]}\n\n  \n{"n":2,"sequence":[1,0,0,1]}\n')
+        assert [inst.sequence.tolist() for inst in read_jsonl(path)] == [[0, 0], [1, 0, 0, 1]]
 
     def test_non_utf8_file_is_a_bad_record(self, tmp_path):
         path = tmp_path / "utf16.jsonl"

@@ -322,15 +322,15 @@ class TestLargeWords:
     def test_peak_memory_is_the_typed_buffers(self, words_100k, structured_100k):
         # recursive_greedy holds int32 arrays: the positions labeled with their
         # car's rank as the min-tree's level 0, 8n bytes, and the levels above,
-        # about 8n more; the first and second positions by rank, 8n; the three
-        # neighbour arrays, 12n; then 2n+1 color bytes and the n-byte result.
-        # Each search adds its queries' state (query number, block, value and
-        # answer, 16n) and one level's hits with their int64 indices (up to
-        # 17n).  That stays within 1.25 (59n + 17) bytes, 7.0 MiB at n=100k:
-        # about 63n on random words, and up to 70n on the structured words,
-        # where many queries resolve on one level.
+        # about 8n more; the first and second positions by rank, 8n; the two
+        # neighbour arrays of the first positions, 8n; then 2n+1 color bytes and
+        # the n-byte result.  Each search adds its queries' state (query number,
+        # block, value and answer, 16n) and one level's hits with their int64
+        # indices (up to 17n).  That stays within 1.25 (55n + 17) bytes, 6.6 MiB
+        # at n=100k: about 59n on random words, and up to 66n on the structured
+        # words, where many queries resolve on one level.
         # greedy reads the word in place and keeps n color bytes.
         for inst in (words_100k[0], *structured_100k.values()):
             n = inst.n
-            assert traced_peak(recursive_greedy, inst) <= 1.25 * (59 * n + 17)
+            assert traced_peak(recursive_greedy, inst) <= 1.25 * (55 * n + 17)
             assert traced_peak(greedy, inst) <= 2 * n

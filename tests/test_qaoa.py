@@ -362,6 +362,10 @@ class TestSampling:
         b = sample(state, 100, instance_rng(32, 3))
         assert np.array_equal(a, b)
 
+    def test_int_seed_is_a_default_rng(self):
+        state = simulate_state(to_ising(random_instance(5, instance_rng(32, 4))), tree_params(1))
+        assert np.array_equal(sample(state, 100, 5), sample(state, 100, np.random.default_rng(5)))
+
 
 class TestApproximationMass:
     def test_easy_instances_always_within_twice_optimum(self):
