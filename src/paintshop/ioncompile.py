@@ -45,17 +45,6 @@ def _wire_fields(kind: str) -> tuple:
         raise ValueError(f"unknown gate kind {kind!r}") from None
 
 
-def _check_qubits(index: int, kind: str, qubits: tuple, n: int) -> None:
-    """ValueError naming the gate unless its qubits are ints in 0..n-1, one per wire."""
-    qubit_key, _ = _wire_fields(kind)
-    pair = qubit_key == "qubits"
-    in_range = all(isinstance(q, (int, np.integer)) and type(q) is not bool and 0 <= q < n
-                   for q in qubits)  # bool is an int subclass
-    if not in_range or len(set(qubits)) != len(qubits) or len(qubits) != 1 + pair:
-        wire = qubits[0] if len(qubits) == 1 and not pair else list(qubits)
-        raise ValueError(f"gate {index} ({kind}): bad {qubit_key!r}: {wire!r}")
-
-
 @dataclass(frozen=True)
 class NativeGate:
     kind: str
@@ -76,6 +65,24 @@ class NativeCircuit:
     @property
     def depth(self) -> int:
         return len(self.gates)
+
+
+def _check_gate(index: int, gate: NativeGate, n: int) -> None:
+    """ValueError naming the gate and field unless its qubits are ints in 0..n-1, one
+    per wire, and its angles finite ints or floats, one per angle field."""
+    kind, qubits, angles = gate.kind, gate.qubits, gate.angles
+    qubit_key, angle_keys = _wire_fields(kind)
+    pair = qubit_key == "qubits"
+    in_range = all(isinstance(q, (int, np.integer)) and type(q) is not bool and 0 <= q < n
+                   for q in qubits)  # bool is an int subclass
+    if not in_range or len(set(qubits)) != len(qubits) or len(qubits) != 1 + pair:
+        wire = qubits[0] if len(qubits) == 1 and not pair else list(qubits)
+        raise ValueError(f"gate {index} ({kind}): bad {qubit_key!r}: {wire!r}")
+    if len(angles) != len(angle_keys):
+        raise ValueError(f"gate {index} ({kind}): bad 'angles': {angles!r}")
+    for key, a in zip(angle_keys, angles):
+        if not (type(a) is int or isinstance(a, float) and math.isfinite(a)):
+            raise ValueError(f"gate {index} ({kind}): bad {key!r}: {a!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevec
     if n > cap:
         raise TooLarge(f"native simulation capped at {cap} qubits, got {n}")
     for index, gate in enumerate(circuit.gates):
-        _check_qubits(index, gate.kind, gate.qubits, n)
+        _check_gate(index, gate, n)
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
     scratch = np.empty_like(state)
@@ -187,10 +194,7 @@ def circuit_from_json(obj: dict) -> NativeCircuit:
         pair = qubit_key == "qubits"
         qubits = g.get(qubit_key)
         qubits = tuple(qubits) if pair and isinstance(qubits, list) else (qubits,)
-        _check_qubits(index, g["kind"], qubits, n)
-        angles = tuple(g.get(key) for key in angle_keys)
-        for key, a in zip(angle_keys, angles):
-            if not (type(a) is int or isinstance(a, float) and math.isfinite(a)):
-                raise ValueError(f"gate {index} ({g['kind']}): bad {key!r}: {a!r}")
-        gates.append(NativeGate(g["kind"], qubits, angles))
+        gate = NativeGate(g["kind"], qubits, tuple(g.get(key) for key in angle_keys))
+        _check_gate(index, gate, n)
+        gates.append(gate)
     return NativeCircuit(n=n, gates=tuple(gates))

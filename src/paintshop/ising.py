@@ -221,19 +221,12 @@ def tree_gauge(graph: CouplingGraph) -> frozenset:
                     sign[v] = sign[u] * val
                     component.append(v)
                     stack.append(v)
-                elif sign[v] != sign[u] * val:
-                    raise NotATree(f"cycle through coupling ({u}, {v})")
+        # The root is the component's smallest qubit and is never flipped, so
+        # a tie goes to the flipped set.
         flipped = [q for q in component if sign[q] < 0]
         kept = [q for q in component if sign[q] > 0]
-        if len(flipped) < len(kept):
-            chosen = flipped
-        elif len(kept) < len(flipped):
-            chosen = kept
-        else:
-            chosen = flipped if min(component) in kept else kept
-        flips.update(chosen)
-    # Consistency of the sign labelling also certifies acyclicity only up to
-    # even cycles; reject any remaining cycle explicitly.
+        flips.update(flipped if 2 * len(flipped) <= len(component) else kept)
+    # A forest has n - components edges; one more closes a cycle.
     if len(graph.couplings) > graph.n - components:
         raise NotATree("coupling graph has more edges than a forest allows")
     return frozenset(flips)

@@ -143,18 +143,18 @@ class TestNearestSmaller:
                 st.lists(st.integers(0, len(values) - 1), max_size=2 * len(values)),
             )
         ),
-        st.booleans(),
         st.sampled_from([np.int32, np.int64]),
     )
-    def test_matches_stack_walk(self, values_at, right, dtype):
+    def test_matches_stack_walk(self, values_at, dtype):
         # Lengths up to 70 give every level an odd tail somewhere; the small
         # value range gives repeats, which must not count as smaller.
         values, at = values_at
         tree = min_tree(np.array(values, dtype=dtype))
-        got = nearest_smaller(tree, np.array(at, dtype=dtype), right=right)
-        assert got.dtype == dtype
-        expected = stack_nearest_smaller(values, right)
-        assert got.tolist() == [expected[i] for i in at]
+        got = nearest_smaller(tree, np.array(at, dtype=dtype))
+        for side, right in zip(got, (False, True)):
+            assert side.dtype == dtype
+            expected = stack_nearest_smaller(values, right)
+            assert side.tolist() == [expected[i] for i in at]
 
 
 def assert_matches_naive(inst):

@@ -202,6 +202,20 @@ class TestGateMatrices:
         with pytest.raises(ValueError, match=message):
             simulate_native(circ)
 
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (NativeGate("r", (0,), (0.1,)), r"gate 1 \(r\): bad 'angles': \(0.1,\)"),
+            (NativeGate("rz", (0,), ()), r"gate 1 \(rz\): bad 'angles': \(\)"),
+            (rz(0, float("nan")), r"gate 1 \(rz\): bad 'theta': nan"),
+        ],
+        ids=["r-one-angle", "rz-no-angle", "rz-nan"],
+    )
+    def test_directly_built_bad_angles_are_rejected(self, gate, message):
+        circ = NativeCircuit(n=2, gates=(rz(0, 0.1), gate))
+        with pytest.raises(ValueError, match=message):
+            simulate_native(circ)
+
 
 class TestWireFormat:
     def test_json_schema_and_round_trip(self):
