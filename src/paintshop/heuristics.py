@@ -180,6 +180,8 @@ def greedy_subsystem(instance: BpspInstance) -> CouplingGraph:
     k = np.flatnonzero(occ[1:] == 0) + 1
     # The car at k is new there, so it differs from the car at k-1 and no pair repeats.
     i, j = seq[k], seq[k - 1]
-    keys = zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
-    couplings = zip(keys, np.where(occ[k - 1] == 0, -1, 1).tolist())
-    return CouplingGraph(n=instance.n, couplings=couplings, constant=0)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((hi, lo))
+    pairs = np.stack((lo, hi), axis=1)[order]
+    values = np.where(occ[k - 1] == 0, -1, 1)[order]
+    return CouplingGraph.from_arrays(instance.n, pairs, values, 0)

@@ -19,6 +19,7 @@ p * m two-qubit gates plus n * (p + 1) single-qubit gates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,8 @@ def _check_gate(index: int, gate: NativeGate, n: int) -> None:
     if len(angles) != len(angle_keys):
         raise ValueError(f"gate {index} ({kind}): bad 'angles': {angles!r}")
     for key, a in zip(angle_keys, angles):
-        if not (type(a) is int or isinstance(a, float) and math.isfinite(a)):
+        if not (type(a) is int and abs(a) <= sys.float_info.max  # isfinite raises past it
+                or isinstance(a, float) and math.isfinite(a)):
             raise ValueError(f"gate {index} ({kind}): bad {key!r}: {a!r}")
 
 
@@ -111,13 +113,12 @@ def compile_qaoa(graph: CouplingGraph, params: QaoaParams) -> NativeCircuit:
     to global phase.  Couplings are visited in sorted order so the gate list
     is deterministic.
     """
-    pairs = sorted(graph.couplings)
     gates: list[NativeGate] = []
 
     def phase_layer(gamma: float) -> None:
         # exp(-i gamma * PHASE_SCALE * J * XX) = R_XX(2 gamma * PHASE_SCALE * J)
-        for a, b in pairs:
-            gates.append(rxx(a, b, 2 * gamma * PHASE_SCALE * graph.couplings[(a, b)]))
+        for (a, b), value in graph.couplings.items():
+            gates.append(rxx(a, b, 2 * gamma * PHASE_SCALE * value))
 
     angles = params.angles
     phase_layer(angles[0][0])

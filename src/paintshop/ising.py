@@ -9,7 +9,9 @@ car with itself is a constant +1 (sigma_z squared is the identity).
 
 Contributions for the same unordered car pair are merged; merged couplings
 take values in {-2, -1, +1, +2} and pairs whose contributions cancel to zero
-are dropped from the map (they are still counted by ``coupling_stats``).
+are dropped (they are still counted by ``coupling_stats``).  A graph stores
+its couplings as sorted int64 arrays, ``pairs`` and ``values``; ``couplings``
+is a read-only mapping view of them, iterated in sorted key order.
 
 Energy conventions: ``adjacency_energy`` is the integer
 constant + sum_ij J_ij s_i s_j, related to the cost by
@@ -21,10 +23,10 @@ The ground adjacency energy of the single-optimum ladder word
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .core import BpspInstance, Coloring, json_fields
 
 #: Python's and numpy's integer types; ``bool`` is not one.
 _INTS = frozenset({int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])})
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class NotATree(ValueError):
@@ -47,31 +50,105 @@ class NoCouplings(ValueError):
     """The given instances merge to no coupling at all."""
 
 
-@dataclass(frozen=True)
+class Couplings(Mapping):
+    """Read-only mapping (i, j) -> J over a graph's sorted arrays: keys, items and
+    values are Python ints in key order, from one ``tolist``; a lookup is a search."""
+
+    def __init__(self, pairs: np.ndarray, values: np.ndarray):
+        self._pairs, self._values = pairs, values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return zip(*self._pairs.T.tolist())
+
+    def __getitem__(self, key) -> int:
+        i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
+        if type(i) in _INTS and type(j) in _INTS and 0 <= i < j <= _INT64_MAX:
+            i, j = int(i), int(j)  # a numpy uint64 would search as a float
+            first, second = self._pairs.T  # each contiguous: the pairs are column-major
+            lo, hi = first.searchsorted((i, i + 1))
+            at = lo + second[lo:hi].searchsorted(j)
+            if at < hi and second[at] == j:
+                return int(self._values[at])
+        raise KeyError(key)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def __repr__(self) -> str:
+        return f"Couplings({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values.tolist())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
+
+
+@dataclass(frozen=True, init=False)
 class CouplingGraph:
-    """Merged pair couplings plus an additive constant.  ``couplings`` is a mapping,
-    or ((i, j), J) items as ``dict`` takes them; the graph copies it into a dict of
-    its own and checks that each key is a pair (i, j) with 0 <= i < j < n and each J
-    an integer, raising ``ValueError`` naming any other coupling.  ``couplings`` is
-    then a read-only view of that dict, so no caller can change what was checked."""
+    """Merged pair couplings plus an additive constant, stored as read-only int64
+    arrays: ``pairs`` (m, 2), rows i < j in increasing order, and their J in
+    ``values``; ``couplings`` is a mapping view of both.  The graph takes a mapping
+    or ((i, j), J) items, as ``dict`` does, or the arrays by ``from_arrays``, and
+    keeps copies.  It checks each key is a pair (i, j) with 0 <= i < j < n and each
+    J an integer with |J| < 2**63, raising ``ValueError`` naming any other coupling."""
 
     n: int
-    couplings: Mapping
+    couplings: Couplings
     constant: int
 
-    def __post_init__(self):
-        n = self.n
-        couplings = dict(self.couplings)
+    def __init__(self, n: int, couplings, constant: int):
+        couplings = dict(couplings)
         for key, value in couplings.items():
             i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
             if not (type(i) in _INTS and type(j) in _INTS and type(value) in _INTS
-                    and 0 <= i < j < n):
-                raise ValueError(f"coupling {key!r}: {value!r}, want int J, 0 <= i < j < {n}")
-        object.__setattr__(self, "couplings", MappingProxyType(couplings))
+                    and 0 <= i < j < min(n, _INT64_MAX + 1) and abs(int(value)) <= _INT64_MAX):
+                raise ValueError(f"coupling {key!r}: {value!r}, want int J, |J| < 2**63, "
+                                 f"0 <= i < j < {n}")
+        keys, values = zip(*sorted(couplings.items())) if couplings else ((), ())
+        self._store(n, np.array(keys, dtype=np.int64).reshape(-1, 2),
+                    np.array(values, dtype=np.int64), constant)
+
+    @classmethod
+    def from_arrays(cls, n: int, pairs, values, constant: int) -> CouplingGraph:
+        """Graph over integer arrays ``pairs`` (m, 2) and ``values`` (m,), with rows
+        strictly increasing: one vectorized check, ``ValueError`` at the first bad row."""
+        pairs, values = np.asarray(pairs), np.asarray(values)
+        if not ({pairs.dtype.kind, values.dtype.kind} <= {"i", "u"}
+                and values.ndim == 1 and pairs.shape == (*values.shape, 2)):
+            raise ValueError(f"want integer pairs (m, 2) and values (m,), got {pairs.dtype} "
+                             f"{pairs.shape} and {values.dtype} {values.shape}")
+        first, second = pairs.T
+        ok = (first >= 0) & (first < second) & (second < min(n, _INT64_MAX + 1))
+        ok &= (-_INT64_MAX <= values) & (values <= _INT64_MAX)
+        ok[1:] &= (first[1:] > first[:-1]) | (first[1:] == first[:-1]) & (second[1:] > second[:-1])
+        if not ok.all():
+            k = int(ok.argmin())
+            raise ValueError(f"coupling {k}: {pairs[k].tolist()}: {values[k]}, want |J| < 2**63, "
+                             f"0 <= i < j < {n}, after the coupling before it")
+        graph = cls.__new__(cls)
+        graph._store(n, pairs, values, constant)
+        return graph
+
+    def _store(self, n: int, pairs: np.ndarray, values: np.ndarray, constant: int) -> None:
+        pairs, values = pairs.astype(np.int64, order="F"), values.astype(np.int64)
+        pairs.flags.writeable = values.flags.writeable = False
+        vars(self).update(n=n, pairs=pairs, values=values, constant=constant,
+                          couplings=Couplings(pairs, values))
 
     def adjacency_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each qubit's (neighbour, coupling) pairs, built once per graph:
-        ``couplings`` is read-only after construction."""
+        the arrays are read-only."""
         return self._adjacency
 
     @cached_property
@@ -83,7 +160,7 @@ class CouplingGraph:
         return tuple(map(tuple, adj))
 
     def degrees(self) -> np.ndarray:
-        return np.fromiter(map(len, self.adjacency_lists()), dtype=np.int64, count=self.n)
+        return np.bincount(self.pairs.ravel(), minlength=self.n)
 
 
 def _merged_arrays(instance: BpspInstance):
@@ -114,19 +191,16 @@ def _merged_arrays(instance: BpspInstance):
 def to_ising(instance: BpspInstance) -> CouplingGraph:
     """Merged coupling graph of a paint shop word."""
     pairs, values, constant, _ = _merged_arrays(instance)
-    # Column lists, not one list per row, keep the transient memory small at large n.
-    lo, hi = pairs.T.tolist()
-    couplings = zip(zip(lo, hi), values.tolist())
-    return CouplingGraph(n=instance.n, couplings=couplings, constant=constant)
+    return CouplingGraph.from_arrays(instance.n, pairs, values, constant)
 
 
 def adjacency_energy(graph: CouplingGraph, spins: np.ndarray) -> int:
     """constant + sum_ij J_ij s_i s_j for one spin configuration (+-1)."""
-    s = np.asarray(spins).tolist()
-    total = graph.constant
-    for (i, j), val in graph.couplings.items():
-        total += val * s[i] * s[j]
-    return int(total)
+    s = np.asarray(spins, dtype=np.int64)
+    agree = s[graph.pairs[:, 0]] * s[graph.pairs[:, 1]]
+    # J = 2**32 high + low: each int64 sum is exact below 2**31 couplings.
+    high, low = np.divmod(graph.values, 1 << 32)
+    return graph.constant + (int(high @ agree) << 32) + int(low @ agree)
 
 
 def hamiltonian_energy(graph: CouplingGraph, spins: np.ndarray) -> float:
@@ -200,9 +274,8 @@ def tree_gauge(graph: CouplingGraph) -> frozenset:
     (ties resolved toward the set excluding the component's smallest qubit),
     which makes the output deterministic.
     """
-    for val in graph.couplings.values():
-        if val not in (-1, 1):
-            raise NonUnitCoupling(f"coupling {val} not in {{-1, +1}}")
+    if not np.isin(graph.values, (-1, 1)).all():
+        raise NonUnitCoupling(f"couplings {set(graph.values.tolist())} not all in {{-1, +1}}")
     adj = graph.adjacency_lists()
     sign = np.zeros(graph.n, dtype=np.int8)
     flips: set[int] = set()
@@ -234,14 +307,14 @@ def tree_gauge(graph: CouplingGraph) -> frozenset:
 
 def apply_gauge(graph: CouplingGraph, flips: frozenset | set) -> CouplingGraph:
     """Negate couplings with exactly one endpoint in the flip set."""
-    flipped = (((i, j), -val if (i in flips) != (j in flips) else val)
-               for (i, j), val in graph.couplings.items())
-    return CouplingGraph(n=graph.n, couplings=flipped, constant=graph.constant)
+    flipped = np.isin(graph.pairs, list(flips))
+    values = np.where(flipped[:, 0] != flipped[:, 1], -graph.values, graph.values)
+    return CouplingGraph.from_arrays(graph.n, graph.pairs, values, graph.constant)
 
 
 def graph_to_json(graph: CouplingGraph) -> dict:
     """Stable JSON form: {"n": ..., "couplings": sorted [[i, j, J], ...], "constant": ...}."""
-    couplings = [[int(i), int(j), int(v)] for (i, j), v in sorted(graph.couplings.items())]
+    couplings = np.column_stack((graph.pairs, graph.values)).tolist()
     return {"n": graph.n, "couplings": couplings, "constant": graph.constant}
 
 

@@ -282,7 +282,7 @@ def edge_correlation(
     if p == 1:
         return _corr_closed(adjacency, edge, params)
     key = _memo_key(adjacency, edge, dist, p)
-    sign = 1.0 if graph.couplings[edge] > 0 else -1.0
+    sign = 1.0 if dict(adjacency[edge[0]])[edge[1]] > 0 else -1.0
     if key not in _memo:
         _memo[key] = sign * _run_engine(adjacency, edge, dist, params, engine, cap)
     return sign * _memo[key]
@@ -351,9 +351,9 @@ def lightcone_expectation(
     """
     memo = {}
     mean_adj = float(graph.constant)
-    for (a, b) in sorted(graph.couplings):
-        corr = edge_correlation(graph, (a, b), params, support_cap=support_cap, _memo=memo)
-        mean_adj += graph.couplings[(a, b)] * corr
+    for edge, value in graph.couplings.items():
+        corr = edge_correlation(graph, edge, params, support_cap=support_cap, _memo=memo)
+        mean_adj += value * corr
     return EnergySummary(
         mean_adjacency_energy=mean_adj,
         mean_color_changes=(mean_adj + 2 * graph.n - 1) / 2,

@@ -208,8 +208,11 @@ class TestGateMatrices:
             (NativeGate("r", (0,), (0.1,)), r"gate 1 \(r\): bad 'angles': \(0.1,\)"),
             (NativeGate("rz", (0,), ()), r"gate 1 \(rz\): bad 'angles': \(\)"),
             (rz(0, float("nan")), r"gate 1 \(rz\): bad 'theta': nan"),
+            # math.isfinite raises OverflowError on an int past the float range
+            (rz(0, 10**400), r"gate 1 \(rz\): bad 'theta': 1000"),
+            (r(0, 0.1, -(10**309)), r"gate 1 \(r\): bad 'phi': -1000"),
         ],
-        ids=["r-one-angle", "rz-no-angle", "rz-nan"],
+        ids=["r-one-angle", "rz-no-angle", "rz-nan", "rz-int-past-float", "r-int-past-float"],
     )
     def test_directly_built_bad_angles_are_rejected(self, gate, message):
         circ = NativeCircuit(n=2, gates=(rz(0, 0.1), gate))
@@ -278,3 +281,11 @@ class TestWireFormat:
         obj = {"n": 2, "gates": [{"kind": "rz", "qubit": 0, "theta": 0.1}, gate]}
         with pytest.raises(ValueError, match=f"gate 1 .*'{field}'"):
             circuit_from_json(obj)
+
+    def test_int_angles_are_checked_against_the_float_range(self):
+        with pytest.raises(ValueError, match=r"gate 0 \(rz\): bad 'theta': 1000"):
+            circuit_from_json({"n": 1, "gates": [{"kind": "rz", "qubit": 0, "theta": 10**400}]})
+        # the largest int that converts to a float is still an angle
+        edge = int(np.finfo(float).max)
+        circ = circuit_from_json({"n": 1, "gates": [{"kind": "rz", "qubit": 0, "theta": edge}]})
+        assert np.isfinite(simulate_native(circ).amplitudes).all()
