@@ -234,6 +234,17 @@ def brute_force_opt(instance: BpspInstance, cap_cars: int = 24) -> OracleResult:
     )
 
 
+def shown(value) -> str:
+    """``repr`` for an error message; an int past Python's digit limit for
+    ``str``, alone or in a tuple or list, shows its bit length instead of raising."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return ("({})" if isinstance(value, tuple) else "[{}]").format(", ".join(map(shown, value)))
+
+
 def json_fields(obj, **types) -> tuple:
     """The named fields of a JSON object, BadRecord (a ValueError) unless ``obj``
     is a dict holding each; a type other than None must match exactly (no bool

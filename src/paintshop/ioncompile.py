@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TooLarge, json_fields
+from .core import TooLarge, json_fields, shown
 from .ising import CouplingGraph
 from .qaoa.params import PHASE_SCALE, QaoaParams
 from .qaoa.statevector import _MAX_QUBITS, Statevector, _phase_z, _rotate_x
@@ -78,13 +78,13 @@ def _check_gate(index: int, gate: NativeGate, n: int) -> None:
                    for q in qubits)  # bool is an int subclass
     if not in_range or len(set(qubits)) != len(qubits) or len(qubits) != 1 + pair:
         wire = qubits[0] if len(qubits) == 1 and not pair else list(qubits)
-        raise ValueError(f"gate {index} ({kind}): bad {qubit_key!r}: {wire!r}")
+        raise ValueError(f"gate {index} ({kind}): bad {qubit_key!r}: {shown(wire)}")
     if len(angles) != len(angle_keys):
-        raise ValueError(f"gate {index} ({kind}): bad 'angles': {angles!r}")
+        raise ValueError(f"gate {index} ({kind}): bad 'angles': {shown(angles)}")
     for key, a in zip(angle_keys, angles):
         if not (type(a) is int and abs(a) <= sys.float_info.max  # isfinite raises past it
                 or isinstance(a, float) and math.isfinite(a)):
-            raise ValueError(f"gate {index} ({kind}): bad {key!r}: {a!r}")
+            raise ValueError(f"gate {index} ({kind}): bad {key!r}: {shown(a)}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BpspInstance, Coloring, json_fields
+from .core import BpspInstance, Coloring, json_fields, shown
 
 
 #: Python's and numpy's integer types; ``bool`` is not one.
@@ -113,7 +113,7 @@ class CouplingGraph:
             i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
             if not (type(i) in _INTS and type(j) in _INTS and type(value) in _INTS
                     and 0 <= i < j < min(n, _INT64_MAX + 1) and abs(int(value)) <= _INT64_MAX):
-                raise ValueError(f"coupling {key!r}: {value!r}, want int J, |J| < 2**63, "
+                raise ValueError(f"coupling {shown(key)}: {shown(value)}, want int J, |J| < 2**63, "
                                  f"0 <= i < j < {n}")
         keys, values = zip(*sorted(couplings.items())) if couplings else ((), ())
         self._store(n, np.array(keys, dtype=np.int64).reshape(-1, 2),

@@ -66,10 +66,12 @@ n=300 words (seed 102) the engine runs for 193 of 2381 couplings, against
 relabelled key finds the same classes there, but for trees too it made
 those four words 17 % slower (median best-of-5 time 0.259 -> 0.303 s).
 
-That is for p >= 2.  At p=1 no memo is used: ``_corr_closed`` gives
-<Z_i Z_j> in closed form, cheaper than any key.  Calls without a memo or
-naming an engine still run one, so the tests hold the closed form to both
-engines.
+That is for p >= 2.  At p=1 the first call with a memo stores <Z_i Z_j> of
+every coupling that fits the cap, from ``_closed_form``: one vectorized pass
+over the graph's arrays, no key, no adjacency lists, rounding as one coupling
+at a time would.  Any other coupling raises ``SupportTooLarge`` from the search.
+Calls without a memo or naming an engine still run one, so the tests hold the
+closed form to both engines.
 """
 from __future__ import annotations
 
@@ -230,30 +232,51 @@ def _corr_traced(adjacency, dist, params) -> float:
     return float(np.real(signs @ rho @ signs)) / (1 << len(kept))
 
 
-def _corr_closed(adjacency, edge, params) -> float:
-    """<Z_i Z_j> at p=1 in closed form (arXiv:1706.02998; with triangles and
+def _closed_form(graph, params, cap) -> dict:
+    """<Z_i Z_j> at p=1 of each coupling whose support, deg_i + deg_j less
+    their shared neighbours, fits the cap (arXiv:1706.02998; with triangles and
     weights, arXiv:2012.03421).  With c(x) = cos(2 x gamma PHASE_SCALE), s(x)
     likewise, J_iw = 0 off the graph and w never i or j, it is
     1/2 sin 4b s(J_ij) (prod_w c(J_iw) + prod_w c(J_jw))
     - 1/2 sin^2 2b (prod_w c(J_iw + J_jw) - prod_w c(J_iw - J_jw)).  Skipping
     j and i, not dividing by c(J_ij), keeps a zero cosine harmless; the last
-    two products are equal unless i and j share a neighbour."""
+    two are equal unless i and j share a neighbour."""
     ((gamma, beta),) = params.angles
     theta = 2 * gamma * PHASE_SCALE
-    i, j = edge
-    near_i, near_j = dict(adjacency[i]), dict(adjacency[j])
-    coupling = near_i.pop(j)
-    del near_j[i]
-    corr = 0.5 * math.sin(4 * beta) * math.sin(theta * coupling) * (
-        math.prod(math.cos(theta * val) for val in near_i.values())
-        + math.prod(math.cos(theta * val) for val in near_j.values()))
-    if near_i.keys() & near_j.keys():
+    first, second = graph.pairs.T
+    deg = graph.degrees()
+    row = deg.cumsum() - deg
+    width = max(0, min(int(deg.max(initial=0)), cap))  # a longer row's couplings exceed the cap
+    distinct, label = np.unique(graph.values, return_inverse=True)
+    # math, not numpy: np.cos and np.sin may round a last bit otherwise
+    cos, sin = (np.array([f(theta * v) for v in distinct.tolist()]) for f in (math.cos, math.sin))
+    # rows of neighbours in ascending order, as in adjacency_lists, so that each
+    # product rounds as there; -1 and 1.0 past the last row
+    order = np.concatenate((second, first)).argsort(kind="stable")
+    nbr = np.append(np.concatenate((first, second))[order], -1)
+    values = np.concatenate((graph.values, graph.values))[order]
+    cosine = np.append(cos[np.concatenate((label, label))[order]], 1.0)
+    prods, near = [], []  # near: each row's neighbours, column by column, -1 past its end
+    for end, partner in ((first, second), (second, first)):
+        column = np.arange(width)[:, None]
+        at = np.where(column < deg[end], row[end] + column, -1)
+        near.append(nbr[at])
+        # 1.0 for the partner and past the row; numpy multiplies the columns in order
+        prods.append(np.where(near[-1] != partner, cosine[at], 1.0).prod(axis=0))
+    shared = sum(((near[0] == b) & (b >= 0)).sum(axis=0) for b in near[1])
+    corr = 0.5 * math.sin(4 * beta) * sin[label] * (prods[0] + prods[1])
+    fits = deg[first] + deg[second] - shared <= cap
+    for k in np.flatnonzero(fits & (shared > 0)).tolist():
+        i, j = int(first[k]), int(second[k])
+        near_i, near_j = ({w: val for w, val in zip(nbr[row[q]:row[q] + deg[q]].tolist(),
+                                                      values[row[q]:row[q] + deg[q]].tolist())
+                           if w != other} for q, other in ((i, j), (j, i)))
         both = near_i.keys() | near_j.keys()
         same, opposite = (math.prod(
             math.cos(theta * (near_i.get(w, 0) + sign * near_j.get(w, 0))) for w in both
         ) for sign in (1, -1))
-        corr -= 0.5 * math.sin(2 * beta) ** 2 * (same - opposite)
-    return corr
+        corr[k] -= 0.5 * math.sin(2 * beta) ** 2 * (same - opposite)
+    return dict(zip(zip(*graph.pairs[fits].T.tolist()), corr[fits].tolist()))
 
 
 def edge_correlation(
@@ -266,12 +289,20 @@ def edge_correlation(
     _adjacency=None,
     _memo=None,
 ) -> float:
-    """<Z_i Z_j> of one coupling under the restricted circuit; with ``_memo``
-    and the automatic engine, closed at p=1, else memoized by lightcone key."""
+    """<Z_i Z_j> of one coupling under the restricted circuit; with ``_memo`` and
+    the automatic engine, memoized: at p=1 the first call stores every coupling's
+    closed form for this graph and params, at p >= 2 each lightcone key's value."""
+    p, cap = params.p, min(support_cap, _MAX_QUBITS)
+    if p == 1 and _memo is not None and engine == "auto":
+        closed = _memo.get("p=1", (None,) * 4)  # no lightcone key is a str
+        if closed[0] is not graph or closed[1] is not params or closed[2] != cap:
+            closed = _memo["p=1"] = (graph, params, cap, _closed_form(graph, params, cap))
+        corr = closed[3].get(tuple(edge))
+        if corr is not None:
+            return corr
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency
-    p = params.p
     dist = _distances(adjacency, edge, p)
-    size, cap = len(dist), min(support_cap, _MAX_QUBITS)
+    size = len(dist)
     if size > cap:
         raise SupportTooLarge(f"support of {edge} has {size} qubits, cap is {cap}")
     if _memo is None or engine != "auto":
@@ -279,8 +310,6 @@ def edge_correlation(
         if 4**kept > 2**cap:
             raise SupportTooLarge(f"traced {edge} plans 4^{kept} entries, cap is 2^{cap}")
         return _run_engine(adjacency, edge, dist, params, engine, cap)
-    if p == 1:
-        return _corr_closed(adjacency, edge, params)
     key = _memo_key(adjacency, edge, dist, p)
     sign = 1.0 if dict(adjacency[edge[0]])[edge[1]] > 0 else -1.0
     if key not in _memo:

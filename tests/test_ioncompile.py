@@ -194,8 +194,9 @@ class TestGateMatrices:
             (rxx(1, 1, 0.2), r"gate 1 \(rxx\): bad 'qubits': \[1, 1\]"),
             (r(-1, 0.3, 0.0), r"gate 1 \(r\): bad 'qubit': -1"),
             (NativeGate("rxx", (0,), (0.2,)), r"gate 1 \(rxx\): bad 'qubits': \[0\]"),
+            (rxx(0, 10**5000, 0.2), r"gate 1 \(rxx\): bad 'qubits': \[0, <int of 16610 bits>\]"),
         ],
-        ids=["rz-beyond-n", "rxx-same-qubit", "r-negative", "rxx-one-qubit"],
+        ids=["rz-beyond-n", "rxx-same-qubit", "r-negative", "rxx-one-qubit", "rxx-past-str"],
     )
     def test_directly_built_bad_qubits_are_rejected(self, gate, message):
         circ = NativeCircuit(n=2, gates=(rz(0, 0.1), gate))
@@ -211,8 +212,13 @@ class TestGateMatrices:
             # math.isfinite raises OverflowError on an int past the float range
             (rz(0, 10**400), r"gate 1 \(rz\): bad 'theta': 1000"),
             (r(0, 0.1, -(10**309)), r"gate 1 \(r\): bad 'phi': -1000"),
+            # past Python's 4300-digit limit an int has no str: shown by its bit length
+            (rz(0, 10**5000), r"gate 1 \(rz\): bad 'theta': <int of 16610 bits>"),
+            (NativeGate("rz", (0,), (10**5000, 0.1)),
+             r"gate 1 \(rz\): bad 'angles': \(<int of 16610 bits>, 0.1\)"),
         ],
-        ids=["r-one-angle", "rz-no-angle", "rz-nan", "rz-int-past-float", "r-int-past-float"],
+        ids=["r-one-angle", "rz-no-angle", "rz-nan", "rz-int-past-float", "r-int-past-float",
+             "rz-int-past-str", "angles-int-past-str"],
     )
     def test_directly_built_bad_angles_are_rejected(self, gate, message):
         circ = NativeCircuit(n=2, gates=(rz(0, 0.1), gate))

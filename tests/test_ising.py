@@ -224,8 +224,11 @@ class TestTreeGauge:
     ({(0, 1): 2**63}, "(0, 1): 9223372036854775808"),
     ({(0, 1): -(2**63)}, "(0, 1): -9223372036854775808"),
     ({(0, 1): np.uint64(2**63)}, "(0, 1): np.uint64(9223372036854775808)"),
+    # past Python's 4300-digit limit an int has no str: shown by its bit length
+    ({(0, 1): 10**5000}, "(0, 1): <int of 16610 bits>"),
+    ({(0, 10**5000): 1}, "(0, <int of 16610 bits>): 1"),
 ], ids=["reversed", "both-orders", "self-pair", "beyond-n", "negative", "float-J", "bool-J",
-        "J-past-int64", "J-int64-min", "uint64-J-past-int64"])
+        "J-past-int64", "J-int64-min", "uint64-J-past-int64", "J-past-str", "j-past-str"])
 def test_construction_rejects_every_other_coupling_form(couplings, named):
     # as a mapping, and as the ((i, j), J) items that the builders pass
     for given in (couplings, list(couplings.items()), iter(couplings.items())):

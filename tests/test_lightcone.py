@@ -1,4 +1,5 @@
 """Restricted-support evaluation against the full dense simulation."""
+import hashlib
 import tracemalloc
 from collections import deque
 from functools import cached_property
@@ -25,6 +26,7 @@ from paintshop import (
     tree_gauge,
     tree_params,
 )
+from paintshop.experiments import run_table1
 from paintshop.qaoa import lightcone
 
 
@@ -707,8 +709,88 @@ class TestLoopyMemo:
         check_memo(graph, tree_params(2))
 
 
+#: float.hex of ``mean_energy_adj`` in the 20 rows of ``run_table1(1)`` at
+#: default flags, and sha256 of the float.hex of every coupling's <Z_i Z_j> on
+#: its word 0 (seed 101), one per line in sorted coupling order; both recorded
+#: from the closed form evaluated coupling by coupling, before one pass over
+#: the graph's arrays replaced it.
+TABLE1_P1_ROWS = (
+    "-0x1.43e228327c5a0p+9", "-0x1.449406279a0ccp+9", "-0x1.43da730369074p+9",
+    "-0x1.44c5ba3889b84p+9", "-0x1.4398737fd8ecbp+9", "-0x1.43bf736a0dea5p+9",
+    "-0x1.447f4d5cbabe1p+9", "-0x1.4359bbd31d450p+9", "-0x1.44224e3fcf865p+9",
+    "-0x1.44fbb96b3ff21p+9", "-0x1.447c709b8bb47p+9", "-0x1.4217bc4f8d2a7p+9",
+    "-0x1.43f295db951adp+9", "-0x1.4459bbd31d44dp+9", "-0x1.44aaba9f2e9b7p+9",
+    "-0x1.44e3969313de9p+9", "-0x1.44ac28ffc6202p+9", "-0x1.43d904a2d1828p+9",
+    "-0x1.43b4e179cb8e6p+9", "-0x1.449297c702881p+9",
+)
+TABLE1_P1_WORD0 = "3979c84589c0ff1b7151c1cd73b107692fd07aa1ac06a0f6712bcbd3bf5eafd7"
+
+
+def has_triangle(graph):
+    """Whether some coupling's endpoints share a neighbour, read from the
+    couplings alone."""
+    near = {}
+    for i, j in graph.couplings:
+        near.setdefault(i, set()).add(j)
+        near.setdefault(j, set()).add(i)
+    return any(near[i] & near[j] for i, j in graph.couplings)
+
+
 class TestClosedForm:
     """At p=1, memoized_correlations is lightcone_expectation's closed form."""
+
+    def test_table1_p1_rows_keep_their_bytes(self):
+        rows, _ = run_table1(1)
+        assert tuple(float.hex(row["mean_energy_adj"]) for row in rows) == TABLE1_P1_ROWS
+
+    def test_table1_p1_word_keeps_its_bytes(self):
+        graph = to_ising(random_instance(1000, instance_rng(101, 0)))
+        assert has_triangle(graph)
+        values = memoized_correlations(graph, tree_params(1)).values()
+        text = "\n".join(map(float.hex, values))
+        assert hashlib.sha256(text.encode()).hexdigest() == TABLE1_P1_WORD0
+
+    def test_a_shared_memo_serves_each_graph_and_params_its_own_values(self):
+        """Calls on two graphs that share five couplings, (0, 1) among them,
+        under two schedules, take turns on one memo: each gets what a memo of
+        its own gives, though the memo was last filled for another."""
+        fixed, other = tree_params(1), QaoaParams(((0.3, -0.7),))
+        # each turn changes the graph or the schedule, not both
+        cases = [(HAND_BUILT, fixed), (PATH_WITH_TRIANGLE, fixed),
+                 (PATH_WITH_TRIANGLE, other), (HAND_BUILT, other)]
+        own = [memoized_correlations(graph, params) for graph, params in cases]
+        assert own[0][(0, 1)] != own[1][(0, 1)] and own[0][(0, 1)] != own[3][(0, 1)]
+        shared = {}
+        for k in range(len(HAND_BUILT.couplings)):
+            for (graph, params), values in zip(cases, own):
+                edge = sorted(graph.couplings)[k]
+                assert edge_correlation(graph, edge, params, _memo=shared) == values[edge]
+                # the memo-free form takes an edge as any pair, so the lookup does too
+                assert edge_correlation(graph, list(edge), params, _memo=shared) == values[edge]
+
+    def test_only_couplings_past_the_cap_raise(self):
+        """The triangle 0-1-2 fits a cap of 6; (2, 3) reaches the star at 3
+        (11 qubits) and its leaves reach 9.  The message and the coupling it
+        names are those of the coupling-by-coupling evaluation."""
+        graph = CouplingGraph(n=11, couplings={
+            (0, 1): 1, (0, 2): -1, (1, 2): 2, (2, 3): 1,
+            **{(3, k): (-1) ** k for k in range(4, 11)},
+        }, constant=0)
+        params, memo = tree_params(1), {}
+        for edge in ((0, 1), (0, 2), (1, 2)):
+            corr = edge_correlation(graph, edge, params, support_cap=6, _memo=memo)
+            free = edge_correlation(graph, edge, params, support_cap=6)
+            assert corr == pytest.approx(free, abs=1e-12)
+        with pytest.raises(SupportTooLarge, match=r"^support of \(3, 4\) has 9 qubits, cap is 6$"):
+            edge_correlation(graph, (3, 4), params, support_cap=6, _memo=memo)
+        with pytest.raises(SupportTooLarge, match=r"^support of \(2, 3\) has 11 qubits, cap is 6$"):
+            lightcone_expectation(graph, params, support_cap=6)
+
+    def test_p1_sum_builds_no_adjacency_lists(self):
+        graph = to_ising(random_instance(1000, instance_rng(101, 0)))
+        assert has_triangle(graph)
+        lightcone_expectation(graph, tree_params(1))
+        assert "_adjacency" not in vars(graph)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(3, 9))
