@@ -46,25 +46,23 @@ counts twice: 2|kept| < |support|.  Either way the choice also needs
 traced run asked for by name does, so under the clipped cap neither
 engine holds more than 2^30 entries.
 
-``lightcone_expectation`` memoizes every lightcone for one call, storing
-sign(J_ij) <Z_i Z_j>: only couplings with an endpoint in the kept ball act
-(one between two boundary qubits cancels), and a gauge (flipped spins) with
-g_i g_j = sign(J_ij) keeps the value.  Each support qubit gets a code: a
-boundary qubit its number of kept neighbours, a kept one the sorted
-|J|-labelled codes of its farther neighbours, with same-level and upward
-couplings marked.  On a tree (|support| - 1 acting couplings) the codes of
-i and j are AHU encodings of its two halves, and together they are the
-key.  Any other lightcone is keyed by its acting couplings, relabelled in
-breadth-first order from the coupling (children by |J|, code, then qubit)
-and gauge-fixed along that search tree: the sorted
-(label_u, label_v, J_uv g_u g_v).  Either key holds every coupling that acts
-on <Z_i Z_j> up to renaming and gauge, so equal keys give equal values up
-to rounding (the statevector engine also runs the cancelling boundary
-couplings); a tie-break can only miss a hit.  On the p=2 benchmark's four
-n=300 words (seed 102) the engine runs for 193 of 2381 couplings, against
-865 when only trees were memoized.  Trees stop at their codes: the
-relabelled key finds the same classes there, but for trees too it made
-those four words 17 % slower (median best-of-5 time 0.259 -> 0.303 s).
+At p >= 2 ``lightcone_expectation`` keys no tree lightcone (|support| - 1
+acting couplings: only those with an endpoint in the kept ball act, one
+between two boundary qubits cancels): its first coupling within the cap runs
+``history.GraphPass``, messages over every directed coupling, which give each
+tree's value.  Any other lightcone is memoized for the call, storing
+sign(J_ij) <Z_i Z_j>, which a gauge (flipped spins) with g_i g_j = sign(J_ij)
+keeps.  Each support qubit gets a code: a boundary qubit its number of kept
+neighbours, a kept one the sorted |J|-labelled codes of its farther
+neighbours, with same-level and upward couplings marked.  The key is the
+acting couplings relabelled in breadth-first order from the coupling
+(children by |J|, code, then qubit) and gauge-fixed along that search tree,
+sorted (label_u, label_v, J_uv g_u g_v); equal keys give equal values up to
+rounding.  At p=2 a miss with one or two cuts (acting couplings off the search
+tree) is summed on its skeleton.  At p=3 those sums took 2.1-5.0 ms and 2.8-8.9
+MiB (tracemalloc) on 6- to 8-qubit lightcones, the engine 0.4-0.5 ms, so the
+engine runs there, as for three or more cuts: 8 times on the four n=300 p=2
+benchmark words (seed 102), against 193 before, 1544 of 2381 being trees.
 
 That is for p >= 2.  At p=1 the first call with a memo stores <Z_i Z_j> of
 every coupling that fits the cap, from ``_closed_form``: one vectorized pass
@@ -83,6 +81,7 @@ import numpy as np
 
 from ..core import TooLarge
 from ..ising import CouplingGraph
+from .history import GraphPass
 from .params import PHASE_SCALE, QaoaParams
 from .statevector import _MAX_QUBITS, EnergySummary, simulate_state
 
@@ -290,14 +289,16 @@ def edge_correlation(
     _memo=None,
 ) -> float:
     """<Z_i Z_j> of one coupling under the restricted circuit; with ``_memo`` and
-    the automatic engine, memoized: at p=1 the first call stores every coupling's
-    closed form for this graph and params, at p >= 2 each lightcone key's value."""
+    the automatic engine, from a whole-graph table filled for this graph and
+    params (p=1 closed forms, p >= 2 history messages) or memoized by key."""
     p, cap = params.p, min(support_cap, _MAX_QUBITS)
-    if p == 1 and _memo is not None and engine == "auto":
-        closed = _memo.get("p=1", (None,) * 4)  # no lightcone key is a str
-        if closed[0] is not graph or closed[1] is not params or closed[2] != cap:
-            closed = _memo["p=1"] = (graph, params, cap, _closed_form(graph, params, cap))
-        corr = closed[3].get(tuple(edge))
+    auto = _memo is not None and engine == "auto"
+    if auto:
+        whole = _memo.get("graph", (None,) * 4)  # no lightcone key is a str
+        if whole[0] is not graph or whole[1] is not params or whole[2] != cap:
+            table = _closed_form(graph, params, cap) if p == 1 else None  # else on first use
+            whole = _memo["graph"] = [graph, params, cap, table]
+        corr = whole[3].get(tuple(edge)) if p == 1 else None
         if corr is not None:
             return corr
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency
@@ -305,15 +306,24 @@ def edge_correlation(
     size = len(dist)
     if size > cap:
         raise SupportTooLarge(f"support of {edge} has {size} qubits, cap is {cap}")
-    if _memo is None or engine != "auto":
+    if not auto:
         kept = sum(d < p for d in dist.values()) if engine == "traced" else 0
         if 4**kept > 2**cap:
             raise SupportTooLarge(f"traced {edge} plans 4^{kept} entries, cap is 2^{cap}")
         return _run_engine(adjacency, edge, dist, params, engine, cap)
+    whole[3] = whole[3] or GraphPass(graph, params, cap)
+    kept = [u for u, d in dist.items() if d < p]
+    cuts = sum(dist[v] == p or u < v for u in kept for v, _ in adjacency[u]) - (size - 1)
+    if not cuts:
+        return whole[3].tree_value(adjacency, *edge)
     key = _memo_key(adjacency, edge, dist, p)
     sign = 1.0 if dict(adjacency[edge[0]])[edge[1]] > 0 else -1.0
     if key not in _memo:
-        _memo[key] = sign * _run_engine(adjacency, edge, dist, params, engine, cap)
+        if cuts <= 2 and p == 2:  # see the module docstring
+            corr = whole[3].skeleton(adjacency, edge, dist)
+        else:
+            corr = _run_engine(adjacency, edge, dist, params, engine, cap)
+        _memo[key] = sign * corr
     return sign * _memo[key]
 
 
@@ -335,14 +345,10 @@ def _run_engine(adjacency, edge, dist, params, engine, cap) -> float:
 
 
 def _memo_key(adjacency, edge, dist, p):
-    """Memo key of a lightcone: equal keys give equal sign(J_ij) <Z_i Z_j>."""
+    """Memo key of a loopy lightcone: equal keys give equal sign(J_ij) <Z_i Z_j>."""
     kept = [u for u, d in dist.items() if d < p]
-    tree = sum(dist[v] == p or u < v for u in kept for v, _ in adjacency[u]) == len(dist) - 1
-    if tree:  # every boundary qubit has one kept neighbour
-        code = dict.fromkeys(dist, "[1]")
-    else:
-        links = Counter(v for u in kept for v, _ in adjacency[u])
-        code = {v: f"[{n}]" for v, n in links.items()}
+    links = Counter(v for u in kept for v, _ in adjacency[u])
+    code = {v: f"[{n}]" for v, n in links.items()}
     for u in reversed(kept):
         d = dist[u]
         code[u] = "(" + "".join(sorted(
@@ -350,8 +356,6 @@ def _memo_key(adjacency, edge, dist, p):
             for v, val in adjacency[u]
         )) + ")"
     i, j = edge
-    if tree:  # AHU encodings of the two halves, each holding |J_ij| as its "=" entry
-        return tuple(sorted((code[i], code[j])))
     order = sorted(edge, key=lambda q: (code[q], q))
     label = {q: t for t, q in enumerate(order)}
     gauge = {order[0]: 1, order[1]: 1 if dict(adjacency[i])[j] > 0 else -1}
@@ -375,8 +379,8 @@ def lightcone_expectation(
     """Exact circuit expectations assembled coupling by coupling.
 
     Couplings are visited in sorted order with a sequential reduction, so
-    results are bitwise reproducible.  The engine runs once per lightcone up
-    to relabelling and gauge at p >= 2, never at p=1 (see the module docstring).
+    results are bitwise reproducible.  No engine runs at p=1, nor at p >= 2 on
+    lightcones with at most two cycles (see the module docstring).
     """
     memo = {}
     mean_adj = float(graph.constant)

@@ -27,7 +27,7 @@ from paintshop import (
     tree_params,
 )
 from paintshop.experiments import run_table1
-from paintshop.qaoa import lightcone
+from paintshop.qaoa import history, lightcone
 
 
 def full_correlations(graph, params):
@@ -235,16 +235,17 @@ class TestAutomaticChoice:
         """2|core| + |shell| = 10 < 14 qubits of support favours the traced
         engine, but its 4^8 = 2^16 plan exceeds a cap of 14 qubits, so the
         dense engine runs; at a cap of 16 the traced one does.  Both engines
-        are stubbed, so nothing is allocated."""
+        are stubbed, so nothing is allocated.  lightcone_expectation runs
+        neither: every lightcone of this tree is read from the history table."""
         params = tree_params(2)
         chosen = spy_engines(monkeypatch, stub=0.0)
         edge_correlation(SHELL_STAR, (0, 1), params, support_cap=14)
         lightcone_expectation(SHELL_STAR, params, support_cap=14)
-        assert chosen[0] == "statevector" and chosen[1] == "statevector"
+        assert chosen == ["statevector"]
         del chosen[:]
         edge_correlation(SHELL_STAR, (0, 1), params, support_cap=16)
         lightcone_expectation(SHELL_STAR, params, support_cap=16)
-        assert chosen[0] == "traced" and chosen[1] == "traced"
+        assert chosen == ["traced"]
 
 
 class TestEngines:
@@ -475,16 +476,34 @@ def random_tree(rng, n):
     }, constant=0)
 
 
-def count_engine_runs(monkeypatch):
-    """List that records the coupling of every engine run from here on."""
-    runs, run_engine = [], lightcone._run_engine
+def count_calls(monkeypatch, name):
+    """List that records the coupling of every call of ``lightcone.name``, a
+    function of (adjacency, edge, ...), from here on."""
+    calls, function = [], getattr(lightcone, name)
 
     def counted(adjacency, edge, *args):
-        runs.append(edge)
-        return run_engine(adjacency, edge, *args)
+        calls.append(edge)
+        return function(adjacency, edge, *args)
 
-    monkeypatch.setattr(lightcone, "_run_engine", counted)
-    return runs
+    monkeypatch.setattr(lightcone, name, counted)
+    return calls
+
+
+def count_engine_runs(monkeypatch):
+    """List that records the coupling of every engine run from here on."""
+    return count_calls(monkeypatch, "_run_engine")
+
+
+def count_skeleton_sums(monkeypatch):
+    """List that records the coupling of every skeleton sum from here on."""
+    sums, skeleton = [], history.GraphPass.skeleton
+
+    def counted(table, adjacency, edge, dist):
+        sums.append(edge)
+        return skeleton(table, adjacency, edge, dist)
+
+    monkeypatch.setattr(history.GraphPass, "skeleton", counted)
+    return sums
 
 
 def memo_key(graph, edge, p):
@@ -532,24 +551,15 @@ class TestTreeMemo:
         check_memo(PATH_WITH_TRIANGLE, tree_params(p))
         check_memo(HAND_BUILT, tree_params(p))
 
-    def test_coupling_strength_is_part_of_the_key(self):
-        """(0, 1) and (3, 4) have the same halves, one bare end and one
-        with a single |J| = 1 child, but |J_ij| = 1 against 2."""
-        graph = CouplingGraph(n=6, couplings={
-            (0, 1): 1, (1, 2): 1, (3, 4): 2, (4, 5): 1,
-        }, constant=0)
-        params = tree_params(1)
-        assert memo_key(graph, (0, 1), 1) != memo_key(graph, (3, 4), 1)
-        corr = memoized_correlations(graph, params)
-        assert corr[(0, 1)] != pytest.approx(corr[(3, 4)], abs=1e-3)
-        check_memo(graph, params)
-
-    # At p=1 the closed form serves every coupling, so no engine runs.  At
-    # p=2, tree shapes plus loopy lightcones: {(12, 13), (12, 14)}, (13, 14)
-    # and (11, 12), whose ball now holds the triangle.
-    @pytest.mark.parametrize("p, runs", [(1, 0), (2, 4 + 3)])
-    def test_one_engine_run_per_lightcone_shape(self, monkeypatch, p, runs):
+    # At p=1 the closed form serves every coupling, so nothing is keyed or run.
+    # At p=2 trees are read from the history table without a key, and the
+    # loopy lightcones miss the memo three times: {(12, 13), (12, 14)},
+    # (13, 14) and (11, 12), whose ball holds the triangle, each summed on its
+    # one-cut skeleton.
+    @pytest.mark.parametrize("p, misses", [(1, 0), (2, 3)])
+    def test_one_engine_run_per_lightcone_shape(self, monkeypatch, p, misses):
         engine_edges, public_edges = count_engine_runs(monkeypatch), []
+        keyed, sums = count_calls(monkeypatch, "_memo_key"), count_skeleton_sums(monkeypatch)
         public = lightcone.edge_correlation
 
         def counted_public(graph, edge, *args, **kwargs):
@@ -559,42 +569,16 @@ class TestTreeMemo:
         monkeypatch.setattr(lightcone, "edge_correlation", counted_public)
         params = tree_params(p)
         total = lightcone_expectation(PATH_WITH_TRIANGLE, params).mean_adjacency_energy
-        assert len(engine_edges) == runs
+        adjacency = PATH_WITH_TRIANGLE.adjacency_lists()
+        trees = [e for e in PATH_WITH_TRIANGLE.couplings
+                 if is_tree(adjacency, lightcone._distances(adjacency, e, p), p)]
+        assert len(engine_edges) == 0 and len(sums) == misses
+        assert not set(keyed) & set(trees)
+        assert len(keyed) == (p > 1) * (len(PATH_WITH_TRIANGLE.couplings) - len(trees))
         assert public_edges == sorted(PATH_WITH_TRIANGLE.couplings)
         engine_edges.clear()
         assert total == pytest.approx(memo_free(PATH_WITH_TRIANGLE, params), abs=1e-12)
         assert len(engine_edges) == len(PATH_WITH_TRIANGLE.couplings)
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), p=st.integers(1, 3))
-    def test_key_is_a_gauge_and_relabelling_invariant_of_trees(self, seed, n, p):
-        rng = np.random.default_rng(seed)
-        graph = random_tree(rng, n)
-        edge = sorted(graph.couplings)[int(rng.integers(len(graph.couplings)))]
-        key = memo_key(graph, edge, p)
-
-        flips = {q for q in range(n) if rng.random() < 0.5}
-        perm = rng.permutation(n)
-        moved = {tuple(sorted((int(perm[a]), int(perm[b])))): val
-                 for (a, b), val in apply_gauge(graph, flips).couplings.items()}
-        image = tuple(sorted((int(perm[edge[0]]), int(perm[edge[1]]))))
-        assert memo_key(CouplingGraph(n=n, couplings=moved, constant=0), image, p) == key
-
-        i, j = edge
-        loops = [{(i, n): 1, (j, n): -1}]  # a triangle through the coupling
-        if p >= 2:  # at p=1 the square's far side joins two boundary qubits
-            loops.append({(i, n): 1, (n, n + 1): 2, (j, n + 1): -1})
-        for extra in loops:
-            loopy = CouplingGraph(n=n + 2, couplings={**graph.couplings, **extra},
-                                  constant=0)
-            assert memo_key(loopy, edge, p) != key
-
-        dist = lightcone._distances(graph.adjacency_lists(), edge, p)
-        acting = [e for e in graph.couplings if min(dist.get(q, p) for q in e) < p]
-        changed = acting[int(rng.integers(len(acting)))]
-        other = dict(graph.couplings)
-        other[changed] = 3 - abs(other[changed])
-        assert memo_key(CouplingGraph(n=n, couplings=other, constant=0), edge, p) != key
 
 
 def gauge_copy(graph, flips, offset):
