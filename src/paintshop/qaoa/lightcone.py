@@ -13,63 +13,29 @@ the edge, up to p: distance <= p is the support, checked against the cap
 whatever the caller asks), distance < p the kept ball, distance exactly p
 its boundary.
 
-Two exact evaluation engines sit behind the contract:
-
-* ``statevector``: the dense simulator, ``simulate_state``, run on the
-  support relabelled to 0..k-1.
-* ``traced``: a density matrix on the kept ball, grown qubit by qubit and
-  shrunk level by level.  Z_i Z_j conjugated back through levels p..l+1
-  acts on the qubits within distance p - l, so a level-l mixer farther out
-  commutes with it and cancels: a qubit at distance d meets its last mixer
-  at level p - d.  Past it, only diagonal phases touch the qubit and only
-  its diagonal is ever read, so its row and column axes merge, halving the
-  tensor.  Boundary qubits, never mixed, become cosine damping factors.
-  Shell qubits (distance p - 1) meet their last mixer at level 1, so they
-  enter one at a time after the core and merge at once: the 4^|kept|
-  matrix is never built.  At p=2, n=300 an 8-kept-qubit loopy lightcone
-  peaks at a median 114 KiB (tracemalloc), against 2.3 MiB for the matrix.
-  Exact, and exponentially cheaper whenever the boundary dominates the
-  support (the generic case on the near-4-regular graphs of large random
-  words).
-
-The automatic choice compares the axes of the traced tensor with the
-|support| of the dense state.  A core qubit (distance < p - 1) holds a row
-and a column axis.  At p=2 the core is i and j, and a shell qubit
-(distance p - 1) holds one axis, merged as soon as it enters, so the
-traced engine runs when 2|core| + |shell| < |support|: on the n=16 words
-of ``fig2`` that sends 6 of 1727 engine runs dense.  At p >= 3 a shell
-qubit waits for its core neighbours before it merges; counted once, it
-sent 8 lightcones of three n=20 words at p=3 to the traced engine, which
-ran 7 of them 1.5 to 17 times slower than the dense one.  So there it
-counts twice: 2|kept| < |support|.  Either way the choice also needs
-4^|kept|, an upper bound on the traced tensor, to be at most 2^cap, as a
-traced run asked for by name does, so under the clipped cap neither
-engine holds more than 2^30 entries.
+Two exact engines sit behind the contract: ``statevector``, the dense
+simulator run on the support relabelled to 0..k-1, is the oracle;
+``traced`` is ``history.Elimination`` of the whole lightcone, planned before
+any array is built, and raises ``SupportTooLarge`` if its plan holds more
+than 2^cap entries.  The automatic choice eliminates when the plan's largest
+product has at most 2^|support| entries, as many as the dense state, and
+runs the dense engine otherwise.
 
 At p >= 2 ``lightcone_expectation`` keys no tree lightcone (|support| - 1
 acting couplings: only those with an endpoint in the kept ball act, one
 between two boundary qubits cancels): its first coupling within the cap runs
 ``history.GraphPass``, messages over every directed coupling, which give each
-tree's value.  Any other lightcone is memoized for the call, storing
-sign(J_ij) <Z_i Z_j>, which a gauge (flipped spins) with g_i g_j = sign(J_ij)
-keeps.  Each support qubit gets a code: a boundary qubit its number of kept
-neighbours, a kept one the sorted |J|-labelled codes of its farther
-neighbours, with same-level and upward couplings marked.  The key is the
-acting couplings relabelled in breadth-first order from the coupling
-(children by |J|, code, then qubit) and gauge-fixed along that search tree,
-sorted (label_u, label_v, J_uv g_u g_v); equal keys give equal values up to
-rounding.  At p=2 a miss with one or two cuts (acting couplings off the search
-tree) is summed on its skeleton.  At p=3 those sums took 2.1-5.0 ms and 2.8-8.9
-MiB (tracemalloc) on 6- to 8-qubit lightcones, the engine 0.4-0.5 ms, so the
-engine runs there, as for three or more cuts: 8 times on the four n=300 p=2
-benchmark words (seed 102), against 193 before, 1544 of 2381 being trees.
+tree's value.  Any other lightcone is memoized for the call by ``_memo_key``
+and on a miss evaluated as without a memo.  On the four n=300 p=2 benchmark
+words (seed 102), 1544 of 2381 couplings are trees and 165 lightcones are
+eliminated; on the 64 n=16 ``fig2`` words, 1110 are and 591 run dense.
 
-That is for p >= 2.  At p=1 the first call with a memo stores <Z_i Z_j> of
-every coupling that fits the cap, from ``_closed_form``: one vectorized pass
-over the graph's arrays, no key, no adjacency lists, rounding as one coupling
-at a time would.  Any other coupling raises ``SupportTooLarge`` from the search.
-Calls without a memo or naming an engine still run one, so the tests hold the
-closed form to both engines.
+At p=1 the first call with a memo stores <Z_i Z_j> of every coupling that
+fits the cap, from ``_closed_form``: one vectorized pass over the graph's
+arrays, no key, no adjacency lists, rounding as one coupling at a time would.
+Any other coupling raises ``SupportTooLarge`` from the search.  Calls without
+a memo or naming an engine still run one, so the tests hold the closed form
+to both engines.
 """
 from __future__ import annotations
 
@@ -81,7 +47,7 @@ import numpy as np
 
 from ..core import TooLarge
 from ..ising import CouplingGraph
-from .history import GraphPass
+from . import history
 from .params import PHASE_SCALE, QaoaParams
 from .statevector import _MAX_QUBITS, EnergySummary, simulate_state
 
@@ -149,88 +115,6 @@ def _corr_statevector(adjacency, edge, support, params) -> float:
     return float(probs @ spins)
 
 
-def _corr_traced(adjacency, dist, params) -> float:
-    """<Z_i Z_j> from a density matrix on the kept ball, grown qubit by qubit.
-
-    Kept qubits enter core first, each with its level-1 phases to those in.
-    At its last mixer R a qubit's row and column axes contract into one,
-    K[a, b, c] = R[a, b] conj(R[a, c]); a level later it is summed out.  A
-    shell qubit does so on entering, once all it shares a coupling or a
-    boundary qubit with are in.  Boundary qubits v damp entry (z, w) by
-    cos(phi_v(z) - phi_v(w)), phi_v = gamma_1 * sum of J_uv s_u over kept
-    neighbours u, once all are in: for a lone u, cos(2 gamma_1 J_uv) where
-    u's bits differ.
-    """
-    p = params.p
-    kept = sorted((q for q in dist if dist[q] < p), key=lambda q: (dist[q] == p - 1, q))
-    axes, rho = [], np.ones(())  # axes: (q, 0) row or diagonal, (q, 1) column
-    signs = np.array([1.0, -1.0])
-
-    def spin(q, side=0):
-        pos = axes.index((q, side) if (q, side) in axes else (q, 0))
-        return signs.reshape([2 if t == pos else 1 for t in range(len(axes))])
-
-    def last_mixer(q, beta):
-        nonlocal rho, axes
-        c, s = np.cos(beta), np.sin(beta)
-        pos = axes.index((q, 0)), axes.index((q, 1))
-        (r00, r01), (r10, r11) = np.moveaxis(rho, pos, (0, 1))
-        h = c * c * (r00 - r11) + (1j * c * s * damp[q]) * (r01 - r10)
-        rho = np.stack([r11 + h, r00 - h])
-        axes = [(q, 0)] + [x for x in axes if x[0] != q]
-
-    gamma1, beta1 = params.angles[0][0] * PHASE_SCALE, params.angles[0][1]
-    fringe = {}
-    for u in kept:
-        for v, val in adjacency[u]:
-            if dist[v] == p:
-                fringe.setdefault(v, {})[u] = val
-    damp = dict.fromkeys(kept, 1.0)
-    waits = {q: {q, *(u for u, _ in adjacency[q] if dist[u] < p)}
-             for q in kept if dist[q] == p - 1}
-    for nbrs in fringe.values():
-        for u in nbrs:  # a boundary qubit's kept neighbours are all in the shell
-            waits[u].update(nbrs)
-            if len(nbrs) == 1:
-                damp[u] *= np.cos(2 * gamma1 * nbrs[u])
-    for k, q in enumerate(kept):
-        present = set(kept[:k + 1])
-        axes += [(q, 0), (q, 1)]
-        rho = rho[..., None, None] * np.exp(-1j * sum(
-            ((gamma1 * val) * (spin(u) * spin(q) - spin(u, 1) * spin(q, 1))
-             for u, val in adjacency[q] if u in present), np.zeros((2, 2))
-        ))
-        for nbrs in fringe.values():
-            if len(nbrs) > 1 and q in nbrs and present.issuperset(nbrs):
-                rho *= np.cos(sum(gamma1 * val * (spin(u) - spin(u, 1))
-                                  for u, val in nbrs.items()))
-        for u in [u for u in waits if waits[u] <= present]:
-            last_mixer(u, beta1)
-            del waits[u]
-    for t, (gamma, beta) in enumerate(params.angles, start=1):
-        last = p - t  # distance of the qubits mixed for the last time
-        if t > 1:
-            # Between two diagonal qubits a phase cancels.
-            rho = rho * np.exp(-1j * sum(
-                (gamma * PHASE_SCALE * val) * (spin(u) * spin(v) - spin(u, 1) * spin(v, 1))
-                for u in kept if dist[u] <= last
-                for v, val in adjacency[u] if dist[v] > last or u < v
-            ))
-            done = [x for x in axes if dist[x[0]] == last + 1]
-            rho = rho.sum(axis=tuple(axes.index(x) for x in done))
-            axes = [x for x in axes if x not in done]
-        c, s = np.cos(beta), np.sin(beta)
-        for q in kept:
-            if dist[q] == last and t > 1:
-                last_mixer(q, beta)
-            elif dist[q] < last:
-                for x, r in (((q, 0), -1j * s), ((q, 1), 1j * s)):
-                    r0, r1 = np.moveaxis(rho, axes.index(x), 0)
-                    rho = np.stack([c * r0 + r * r1, r * r0 + c * r1])
-                    axes = [x] + [y for y in axes if y != x]
-    return float(np.real(signs @ rho @ signs)) / (1 << len(kept))
-
-
 def _closed_form(graph, params, cap) -> dict:
     """<Z_i Z_j> at p=1 of each coupling whose support, deg_i + deg_j less
     their shared neighbours, fits the cap (arXiv:1706.02998; with triangles and
@@ -291,6 +175,8 @@ def edge_correlation(
     """<Z_i Z_j> of one coupling under the restricted circuit; with ``_memo`` and
     the automatic engine, from a whole-graph table filled for this graph and
     params (p=1 closed forms, p >= 2 history messages) or memoized by key."""
+    if engine not in ("auto", "traced", "statevector"):
+        raise ValueError(f"unknown engine {engine!r}")
     p, cap = params.p, min(support_cap, _MAX_QUBITS)
     auto = _memo is not None and engine == "auto"
     if auto:
@@ -306,46 +192,37 @@ def edge_correlation(
     size = len(dist)
     if size > cap:
         raise SupportTooLarge(f"support of {edge} has {size} qubits, cap is {cap}")
-    if not auto:
-        kept = sum(d < p for d in dist.values()) if engine == "traced" else 0
-        if 4**kept > 2**cap:
-            raise SupportTooLarge(f"traced {edge} plans 4^{kept} entries, cap is 2^{cap}")
-        return _run_engine(adjacency, edge, dist, params, engine, cap)
-    whole[3] = whole[3] or GraphPass(graph, params, cap)
-    kept = [u for u, d in dist.items() if d < p]
-    cuts = sum(dist[v] == p or u < v for u in kept for v, _ in adjacency[u]) - (size - 1)
-    if not cuts:
-        return whole[3].tree_value(adjacency, *edge)
-    key = _memo_key(adjacency, edge, dist, p)
-    sign = 1.0 if dict(adjacency[edge[0]])[edge[1]] > 0 else -1.0
-    if key not in _memo:
-        if cuts <= 2 and p == 2:  # see the module docstring
-            corr = whole[3].skeleton(adjacency, edge, dist)
-        else:
-            corr = _run_engine(adjacency, edge, dist, params, engine, cap)
-        _memo[key] = sign * corr
-    return sign * _memo[key]
-
-
-def _run_engine(adjacency, edge, dist, params, engine, cap) -> float:
-    """<Z_i Z_j> from the named engine, or the automatic choice."""
-    if engine == "auto":
-        p = params.p
-        core = sum(d < p - 1 for d in dist.values())
-        shell = sum(d == p - 1 for d in dist.values())
-        # shell qubits count once at p=2 and twice beyond (module docstring)
-        axes = 2 * core + (shell if p == 2 else 2 * shell)
-        traced = axes < len(dist) and 4 ** (core + shell) <= 2**cap
-        engine = "traced" if traced else "statevector"
-    if engine == "traced":
-        return _corr_traced(adjacency, dist, params)
     if engine == "statevector":
         return _corr_statevector(adjacency, edge, dist, params)
-    raise ValueError(f"unknown engine {engine!r}")
+    acting = [(u, v, J) for u, d in dist.items() if d < p
+              for v, J in adjacency[u] if dist[v] == p or u < v]
+    if auto:
+        whole[3] = whole[3] or history.GraphPass(graph, params, cap)
+        if len(acting) == size - 1:  # a tree
+            return whole[3].tree_value(adjacency, *edge)
+        key = _memo_key(adjacency, edge, dist, p)
+        sign = 1.0 if dict(adjacency[edge[0]])[edge[1]] > 0 else -1.0
+        if key in _memo:
+            return sign * _memo[key]
+    plan = history.Elimination(history.tables_of(params), dist, acting)
+    if plan.entries <= 2**cap if engine == "traced" else plan.largest <= 2**size:
+        corr = plan.value()
+    elif engine == "traced":
+        raise SupportTooLarge(f"traced {edge} plans {plan.entries} entries, cap is 2^{cap}")
+    else:
+        corr = _corr_statevector(adjacency, edge, dist, params)
+    if auto:
+        _memo[key] = sign * corr
+    return corr
 
 
 def _memo_key(adjacency, edge, dist, p):
-    """Memo key of a loopy lightcone: equal keys give equal sign(J_ij) <Z_i Z_j>."""
+    """Memo key of a loopy lightcone: equal keys give equal sign(J_ij) <Z_i Z_j>,
+    which a gauge g with g_i g_j = sign(J_ij) keeps.  The acting couplings are
+    relabelled in breadth-first order from the coupling, children by |J|, code
+    (a boundary qubit's number of kept neighbours, a kept one's sorted |J|-labelled
+    codes of its farther neighbours, same-level and upward ones marked), then
+    qubit, gauge-fixed along that tree, and sorted (label_u, label_v, J_uv g_u g_v)."""
     kept = [u for u, d in dist.items() if d < p]
     links = Counter(v for u in kept for v, _ in adjacency[u])
     code = {v: f"[{n}]" for v, n in links.items()}
@@ -380,7 +257,7 @@ def lightcone_expectation(
 
     Couplings are visited in sorted order with a sequential reduction, so
     results are bitwise reproducible.  No engine runs at p=1, nor at p >= 2 on
-    lightcones with at most two cycles (see the module docstring).
+    tree lightcones (see the module docstring).
     """
     memo = {}
     mean_adj = float(graph.constant)

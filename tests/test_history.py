@@ -1,6 +1,5 @@
 """History-variable values against the dense engine: tree lightcones from the
-whole-graph pass, lightcones with one or two cut couplings from their
-skeleton, and the infinite-tree limit."""
+whole-graph pass, loopy ones from the elimination, and the infinite-tree limit."""
 import tracemalloc
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from paintshop import (
     CouplingGraph,
+    QaoaParams,
     SupportTooLarge,
     apply_gauge,
     edge_correlation,
@@ -24,10 +24,10 @@ from test_lightcone import (
     HAND_BUILT,
     check_memo,
     count_engine_runs,
-    count_skeleton_sums,
     is_tree,
     memoized_correlations,
     random_tree,
+    whole_plan,
 )
 
 #: 1 - tree_limit at p = 1..5, the fixed schedule's mean cost per car on the
@@ -123,20 +123,31 @@ def cuts_of(graph, edge, p):
     return len(acting) - (len(dist) - 1)
 
 
+def check_loopy(monkeypatch, graph, p):
+    """(0, 1) by name from the elimination and with a memo from the engine its
+    plan picks, then every memoized coupling, against the dense engine."""
+    params = tree_params(p)
+    plan, dist = whole_plan(graph, (0, 1), params)
+    runs = count_engine_runs(monkeypatch)
+    traced = edge_correlation(graph, (0, 1), params, engine="traced")
+    auto = edge_correlation(graph, (0, 1), params, _memo={})
+    fits = plan.largest <= 2 ** len(dist)
+    assert runs == ["elimination", "elimination" if fits else "statevector"]
+    assert traced == pytest.approx(dense(graph, (0, 1), params), abs=1e-12)
+    assert auto == pytest.approx(traced, abs=1e-12)
+    for edge, value in memoized_correlations(graph, params).items():
+        assert value == pytest.approx(dense(graph, edge, params), abs=1e-12)
+
+
 class TestSkeleton:
+    """Lightcones with cut couplings (acting ones off the search tree of (0, 1))."""
+
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", [*ONE_CUT, *TWO_CUTS])
     def test_matches_the_dense_engine(self, monkeypatch, p, name):
         graph = CouplingGraph(n=8, couplings={**ONE_CUT, **TWO_CUTS}[name], constant=0)
         assert cuts_of(graph, (0, 1), p) == (1 if name in ONE_CUT else 2)
-        params = tree_params(p)
-        runs, sums = count_engine_runs(monkeypatch), count_skeleton_sums(monkeypatch)
-        corr = edge_correlation(graph, (0, 1), params, _memo={})
-        # skeleton sums run at p=2; at p=3 the engine does
-        assert (runs, sums) == (([], [(0, 1)]) if p == 2 else ([(0, 1)], []))
-        assert corr == pytest.approx(dense(graph, (0, 1), params), abs=1e-12)
-        for edge, value in memoized_correlations(graph, params).items():
-            assert value == pytest.approx(dense(graph, edge, params), abs=1e-12)
+        check_loopy(monkeypatch, graph, p)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_three_cuts_run_the_engine(self, monkeypatch, p):
@@ -146,11 +157,7 @@ class TestSkeleton:
             (0, 4): 1, (1, 5): -2, (2, 6): 1, (3, 7): -1,
         }, constant=0)
         assert cuts_of(graph, (0, 1), p) == 3
-        params = tree_params(p)
-        runs, sums = count_engine_runs(monkeypatch), count_skeleton_sums(monkeypatch)
-        corr = edge_correlation(graph, (0, 1), params, _memo={})
-        assert (runs, sums) == ([(0, 1)], [])
-        assert corr == pytest.approx(dense(graph, (0, 1), params), abs=1e-12)
+        check_loopy(monkeypatch, graph, p)
 
 
 def regular_tree(degree, depth):
@@ -173,12 +180,41 @@ class TestTreeLimit:
         costs = [1 - history.tree_limit(tree_params(p)) for p in range(1, 6)]
         assert costs == pytest.approx(TREE_LIMIT, abs=1e-9)
 
+    # (1, 4) and (2, 3) have 8 and 14 qubits, within reach of the dense engine,
+    # which checks the history recursion against an engine without histories
     @pytest.mark.parametrize("p, degree", [(1, 4), (2, 4), (2, 3), (3, 3)])
     def test_matches_the_engine_on_a_finite_regular_tree(self, p, degree):
         graph = regular_tree(degree, p)
-        traced = edge_correlation(graph, (0, 1), tree_params(p), engine="traced",
-                                  support_cap=30)
-        assert history.tree_limit(tree_params(p), degree) == pytest.approx(traced, abs=1e-12)
+        engine = "statevector" if graph.n <= 16 else "traced"
+        value = edge_correlation(graph, (0, 1), tree_params(p), engine=engine,
+                                 support_cap=30)
+        assert history.tree_limit(tree_params(p), degree) == pytest.approx(value, abs=1e-12)
+
+    def test_matches_the_closed_form_at_p1(self):
+        """regular_tree(4, 1) is the p=1 lightcone of the infinite tree."""
+        corr = lightcone._closed_form(regular_tree(4, 1), tree_params(1), 30)[(0, 1)]
+        assert history.tree_limit(tree_params(1)) == pytest.approx(corr, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_fixed_schedules_are_stationary(self, p):
+        """Central differences of tree_limit at the fixed schedule.  Each angle
+        is given to 5 decimals: if it is a stationary point rounded, it lies
+        within 5e-6 of it, and to first order the gradient is H d with
+        |d_l| <= 5e-6, so |(H d)_k| <= 2p * 5e-6 * max|H_kl|, with the Hessian H
+        also from central differences.  The gradient's step of 1e-5 errs by
+        about 1e-10 times the third derivative, and by 1e-16 / 1e-5 from
+        rounding, both far below the bound; the Hessian's step is 1e-3."""
+        angles = np.array(tree_params(p).angles).ravel()
+
+        def limit(shift):
+            moved = (angles + shift).reshape(-1, 2)
+            return history.tree_limit(QaoaParams(tuple(map(tuple, moved))))
+
+        unit = np.eye(2 * p)
+        grad = np.array([limit(1e-5 * e) - limit(-1e-5 * e) for e in unit]) / 2e-5
+        hess = np.array([[limit(1e-3 * (a + b)) - limit(1e-3 * (a - b)) - limit(1e-3 * (b - a))
+                          + limit(-1e-3 * (a + b)) for b in unit] for a in unit]) / 4e-6
+        assert np.abs(grad).max() <= 2 * p * 5e-6 * np.abs(hess).max()
 
 
 class TestFootprint:
@@ -186,14 +222,14 @@ class TestFootprint:
         """At p=2 every support of HAND_BUILT exceeds 5 qubits: the sum raises at
         its first coupling, as at p=1, without running the whole-graph pass."""
         passes = []
-        monkeypatch.setattr(lightcone, "GraphPass", lambda *args: passes.append(args))
+        monkeypatch.setattr(history, "GraphPass", lambda *args: passes.append(args))
         with pytest.raises(SupportTooLarge, match=r"^support of \(0, 1\) has \d+ qubits, cap is 5$"):
             lightcone_expectation(HAND_BUILT, tree_params(2), support_cap=5)
         assert passes == []
 
     def test_table1_p2_word_sum_stays_small(self):
         """Word 0 of table1-p2 (seed 102, n=300): the adjacency lists, memo
-        keys, message classes and skeleton factors together."""
+        keys, message classes and eliminations together."""
         graph = to_ising(random_instance(300, instance_rng(102, 0)))
         tracemalloc.start()
         try:

@@ -132,20 +132,6 @@ class TestSupport:
         with pytest.raises(SupportTooLarge):
             edge_correlation(g, edge, tree_params(2), support_cap=4)
 
-    def test_named_traced_run_is_held_to_the_cap(self, monkeypatch):
-        """The coupling (0, 1) and 14 leaves at p=2: all 16 qubits are kept, and
-        4^16 entries exceed 2^26.  4^|kept| is an upper bound on the traced
-        tensor, so the check also rejects this lightcone, which the engine
-        would run in well under a second."""
-        couplings = {(0, 1): 2}
-        for k in range(2, 16):
-            couplings[(k % 2, k)] = (1, -1, 2, -2)[k % 4]
-        g = CouplingGraph(n=16, couplings=couplings, constant=0)
-        runs = count_engine_runs(monkeypatch)
-        with pytest.raises(SupportTooLarge, match=r"plans 4\^16 entries, cap is 2\^26"):
-            edge_correlation(g, (0, 1), tree_params(2), engine="traced")
-        assert runs == []
-
     def test_cap_is_clipped_at_the_dense_ceiling(self, monkeypatch):
         """A star of 31 qubits: every coupling's p=1 support holds all of them,
         more than the 30 qubits any cap admits."""
@@ -158,94 +144,100 @@ class TestSupport:
         assert runs == []
 
 
-def spy_engines(monkeypatch, stub=None):
-    """List that records the engine of every run from here on; with ``stub``,
-    the engines are not run and return it."""
-    chosen = []
-    for name in ("traced", "statevector"):
-        engine = getattr(lightcone, f"_corr_{name}")
-
-        def spied(*args, name=name, engine=engine):
-            chosen.append(name)
-            return engine(*args) if stub is None else stub
-
-        monkeypatch.setattr(lightcone, f"_corr_{name}", spied)
-    return chosen
+#: Support cap of the tests that name the elimination on graphs of at most 9
+#: qubits, which no support of theirs exceeds: a plan there may hold 2^cap
+#: entries, 16 MiB at 20 against 1 GiB at the default 26.
+SMALL_CAP = 20
 
 
-#: The coupling (0, 1), three shell qubits at each end and one boundary qubit
-#: beyond each: at p=2 the support holds 14 qubits, 8 of them kept.
-SHELL_STAR = CouplingGraph(n=14, couplings={
-    (0, 1): 1, (0, 2): -1, (0, 3): 2, (0, 4): 1, (1, 5): -2, (1, 6): 1, (1, 7): -1,
-    (2, 8): 1, (3, 9): -1, (4, 10): 2, (5, 11): 1, (6, 12): -2, (7, 13): 1,
-}, constant=0)
+def acting_couplings(adjacency, dist, p):
+    """(u, v, J) of every coupling with an end u at distance < p, as
+    ``edge_correlation`` hands them to the elimination."""
+    return [(u, v, J) for u, d in dist.items() if d < p
+            for v, J in adjacency[u] if dist[v] == p or u < v]
 
 
-class TestAutomaticChoice:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(4, 12), p=st.integers(2, 3))
-    def test_traced_keeps_every_old_choice_and_matches_the_dense_engine(self, data, n, p):
-        """The rule once ran traced when 2|kept| < |support|.  Since
-        2|core| + |shell| <= 2|kept| and 4^|kept| < 2^|support| <= 2^cap,
-        each such lightcone stays traced; at p >= 3 the rule is unchanged."""
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        chosen_pairs = data.draw(st.lists(st.sampled_from(pairs), min_size=n,
-                                          max_size=2 * n, unique=True))
-        couplings = {e: data.draw(st.sampled_from([-2, -1, 1, 2])) for e in chosen_pairs}
-        g = CouplingGraph(n=n, couplings=couplings, constant=0)
-        params = tree_params(p)
-        adjacency = g.adjacency_lists()
-        for edge in sorted(g.couplings):
-            dist = lightcone._distances(adjacency, edge, p)
-            kept = sum(d < p for d in dist.values())
-            dense = edge_correlation(g, edge, params, engine="statevector")
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                chosen = spy_engines(monkeypatch)
-                auto = edge_correlation(g, edge, params)
-            if 2 * kept < len(dist):
-                assert chosen == ["traced"]
-            elif p > 2:
-                assert chosen == ["statevector"]
-            assert auto == pytest.approx(dense, abs=1e-12)
+def whole_plan(graph, edge, params):
+    """The elimination a memo-free call plans for the coupling."""
+    adjacency = graph.adjacency_lists()
+    dist = lightcone._distances(adjacency, edge, params.p)
+    acting = acting_couplings(adjacency, dist, params.p)
+    return history.Elimination(history.tables_of(params), dist, acting), dist
 
+
+class TestPlan:
     @pytest.mark.parametrize("p", [2, 3])
-    def test_choice_on_loopy_n16_words(self, monkeypatch, p):
-        """At p=2 the old rule sent most of these lightcones dense.  At p=3 a
-        shell qubit still counts twice, so the choice is the old one, also
-        where counting it once would pick the traced engine."""
+    def test_automatic_choice_follows_the_plan(self, monkeypatch, p):
+        """On four n=16 words (seed 77) the automatic engine eliminates exactly
+        where the plan's largest product has at most 2^|support| entries, as
+        many as the dense state, and runs the dense engine elsewhere.  The
+        engines are stubbed."""
         params = tree_params(p)
-        chosen, old, once = spy_engines(monkeypatch, stub=0.0), [], 0
+        runs, expected = count_engine_runs(monkeypatch, stub=0.0), []
         for k in range(4):
             g = to_ising(random_instance(16, instance_rng(77, k)))
-            adjacency = g.adjacency_lists()
             for edge in sorted(g.couplings):
-                dist = lightcone._distances(adjacency, edge, p)
-                core = sum(d < p - 1 for d in dist.values())
-                kept = sum(d < p for d in dist.values())
-                old.append("traced" if 2 * kept < len(dist) else "statevector")
-                once += 2 * kept >= len(dist) > core + kept
+                plan, dist = whole_plan(g, edge, params)
+                fits = plan.largest <= 2 ** len(dist)
+                expected.append("elimination" if fits else "statevector")
                 edge_correlation(g, edge, params)
-        if p == 2:
-            assert chosen.count("traced") > 2 * old.count("traced")
-            assert chosen.count("traced") > 10 * chosen.count("statevector")
-        else:
-            assert once and chosen == old
+        assert runs == expected
+        # 52 of 111 eliminate at p=2; at p=3 no plan there fits the dense state
+        assert runs.count("elimination") == (52 if p == 2 else 0)
 
-    def test_traced_plan_is_held_to_the_cap(self, monkeypatch):
-        """2|core| + |shell| = 10 < 14 qubits of support favours the traced
-        engine, but its 4^8 = 2^16 plan exceeds a cap of 14 qubits, so the
-        dense engine runs; at a cap of 16 the traced one does.  Both engines
-        are stubbed, so nothing is allocated.  lightcone_expectation runs
-        neither: every lightcone of this tree is read from the history table."""
+    def test_named_run_past_the_cap_raises_before_allocating(self, monkeypatch):
+        """K5 at p=2: i and j keep 16 histories each and the three others 8, all
+        coupled, so the first qubit summed out multiplies 16^2 * 8^3 = 2^17
+        entries.  The 5-qubit support fits a cap of 5; the plan does not fit
+        2^5, so the named engine raises before it builds an array: no run, and
+        a peak far below the 2 MiB of that one product."""
+        k5 = CouplingGraph(n=5, couplings={
+            (a, b): (1, -1, 2)[(a + b) % 3] for a in range(5) for b in range(a + 1, 5)
+        }, constant=0)
         params = tree_params(2)
-        chosen = spy_engines(monkeypatch, stub=0.0)
-        edge_correlation(SHELL_STAR, (0, 1), params, support_cap=14)
-        lightcone_expectation(SHELL_STAR, params, support_cap=14)
-        assert chosen == ["statevector"]
-        del chosen[:]
-        edge_correlation(SHELL_STAR, (0, 1), params, support_cap=16)
-        lightcone_expectation(SHELL_STAR, params, support_cap=16)
-        assert chosen == ["traced"]
+        plan, _ = whole_plan(k5, (0, 1), params)
+        assert plan.largest >= 2**17 and plan.entries > plan.largest
+        runs = count_engine_runs(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SupportTooLarge, match=rf"^traced \(0, 1\) plans "
+                                                      rf"{plan.entries} entries, cap is 2\^5$"):
+                edge_correlation(k5, (0, 1), params, engine="traced", support_cap=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert runs == [] and peak <= 64 * 1024
+        # under the default cap the same plan runs
+        assert edge_correlation(k5, (0, 1), params, engine="traced") == pytest.approx(
+            edge_correlation(k5, (0, 1), params, engine="statevector"), abs=1e-12)
+
+    @pytest.mark.parametrize("n, seed", [(300, 102), (16, 103)], ids=["table1-p2", "fig2"])
+    def test_elimination_holds_at_most_its_plan(self, n, seed):
+        """Word 0 of table1-p2 and of fig2, p=2, every loopy lightcone the
+        automatic engine eliminates.  The plan's entries count each step's
+        product, the factor it makes and those earlier steps left (16 bytes an
+        entry); the
+        step's one broadcast factor is buffered by numpy in at most
+        np.getbufsize() = 8192 entries, 128 KiB.  The rest is small: a qubit's
+        weights times its other vectors (at most 16 entries each), the
+        per-step scope lists and Python objects, under 16 KiB.  The coupling
+        factors are cached per schedule, so a first run fills the cache."""
+        graph = to_ising(random_instance(n, instance_rng(seed, 0)))
+        params, adjacency, ran = tree_params(2), graph.adjacency_lists(), 0
+        for edge in sorted(graph.couplings):
+            plan, dist = whole_plan(graph, edge, params)
+            if is_tree(adjacency, dist, 2) or plan.largest > 2 ** len(dist):
+                continue
+            plan.value()
+            tracemalloc.start()
+            try:
+                plan.value()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * plan.entries + np.getbufsize() * 16 + 16 * 1024
+            ran += 1
+        assert ran >= 10
 
 
 class TestEngines:
@@ -267,9 +259,10 @@ class TestEngines:
         assert count > 50
 
     def test_engines_agree_on_a_23_qubit_support(self):
-        # The coupling (0, 1) and 21 leaves: at p=1 the traced engine keeps two
-        # qubits, while the dense one runs all 23 in complex128 at 32 bytes per
-        # amplitude, 256 MiB; the test takes about 1.5 s and 300 MiB peak RSS.
+        # The coupling (0, 1) and 21 leaves: at p=1 the elimination sums each
+        # leaf into i or j by one matrix-vector product, while the dense engine
+        # runs all 23 qubits in complex128 at 32 bytes per amplitude, 256 MiB;
+        # the test takes about 1.5 s and 300 MiB peak RSS.
         couplings = {(0, 1): 2}
         for k in range(2, 23):
             couplings[(k % 2, k)] = (1, -1, 2, -2)[k % 4]
@@ -297,42 +290,15 @@ class TestEngines:
             tracemalloc.stop()
         assert peak <= 32 * 2**k + 256 * 1024
 
-    def test_traced_engine_never_holds_the_whole_density_matrix(self):
-        # Each 8-kept-qubit loopy lightcone of word 0 at p=2: the two core
-        # qubits keep row and column axes (4 axes); each of the six shell
-        # qubits adds two on entering and gives one back when its last mixer
-        # merges them, once every qubit it shares a coupling or a boundary
-        # qubit with is in.  On this word the tensor never has more than 13
-        # axes: 2^13 complex128 entries, 128 KiB.  Adding a qubit holds the old
-        # tensor (a quarter of the new one), the new one and numpy's iteration
-        # buffers, 8192 entries of 16 bytes for each of two broadcast operands:
-        # 32 + 128 + 256 = 416 KiB, and a few KiB of small arrays and Python
-        # objects.  1 MiB is the 4^8 density matrix alone.
-        params = tree_params(2)
-        g = to_ising(random_instance(300, instance_rng(102, 0)))
-        adjacency = g.adjacency_lists()
-        peaks = []
-        for edge in sorted(g.couplings):
-            dist = lightcone._distances(adjacency, edge, 2)
-            if sum(d < 2 for d in dist.values()) != 8 or is_tree(adjacency, dist, 2):
-                continue
-            tracemalloc.start()
-            try:
-                lightcone._corr_traced(adjacency, dist, params)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert len(peaks) > 100
-        assert max(peaks) <= 1 << 20
-
-    # Derandomized: a complete 9-qubit graph at p=3 costs the traced engine
-    # about 0.1 s per coupling, so random draws made this test's wall time
-    # swing between 1.5 and 38 s; a fixed seed fixes the examples it runs.
+    # Derandomized: random draws once made this test's wall time swing between
+    # 1.5 and 38 s; a fixed seed fixes the examples it runs.  A complete
+    # 9-qubit graph at p=3 now plans about 2^47 entries and raises at once.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(3, 9), p=st.integers(1, 3))
     def test_elimination_order_does_not_change_the_value(self, data, n, p):
-        """Relabelled qubits and reversed adjacency lists make the qubits enter
-        and merge in another order."""
+        """Relabelled qubits and reversed adjacency lists sum the qubits out in
+        another order (ties go to the lower label).  A plan past 2^cap raises,
+        and must on both labellings."""
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         # n couplings on n qubits always close a loop
         chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True))
@@ -346,10 +312,18 @@ class TestEngines:
         }, constant=0)
         reversed_adjacency = [nbrs[::-1] for nbrs in moved.adjacency_lists()]
         for a, b in sorted(couplings):
-            corr = edge_correlation(g, (a, b), params, engine="traced")
             image = tuple(sorted((perm[a], perm[b])))
+            try:
+                corr = edge_correlation(g, (a, b), params, engine="traced",
+                                        support_cap=SMALL_CAP)
+            except SupportTooLarge:
+                assert whole_plan(g, (a, b), params)[0].entries > 2**SMALL_CAP
+                with pytest.raises(SupportTooLarge):
+                    edge_correlation(moved, image, params, engine="traced",
+                                     support_cap=SMALL_CAP, _adjacency=reversed_adjacency)
+                continue
             other = edge_correlation(moved, image, params, engine="traced",
-                                     _adjacency=reversed_adjacency)
+                                     support_cap=SMALL_CAP, _adjacency=reversed_adjacency)
             assert other == pytest.approx(corr, abs=1e-12)
 
     def test_unknown_engine(self):
@@ -392,7 +366,11 @@ class TestAgainstFullStatevector:
         g = CouplingGraph(n=n, couplings=couplings, constant=0)
         full = full_correlations(g, params)
         for edge in sorted(couplings):
-            corr = edge_correlation(g, edge, params, engine="traced")
+            try:
+                corr = edge_correlation(g, edge, params, engine="traced", support_cap=SMALL_CAP)
+            except SupportTooLarge:  # raised by the plan, before any array
+                assert whole_plan(g, edge, params)[0].entries > 2**SMALL_CAP
+                continue
             assert corr == pytest.approx(full[edge], abs=1e-12)
 
     def test_whole_graph_expectation(self):
@@ -489,21 +467,22 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def count_engine_runs(monkeypatch):
-    """List that records the coupling of every engine run from here on."""
-    return count_calls(monkeypatch, "_run_engine")
+def count_engine_runs(monkeypatch, stub=None):
+    """List that records the engine of every run from here on: "elimination"
+    or "statevector"; with ``stub``, the engines are not run and return it."""
+    runs, value, dense = [], history.Elimination.value, lightcone._corr_statevector
 
+    def eliminated(plan):
+        runs.append("elimination")
+        return value(plan) if stub is None else stub
 
-def count_skeleton_sums(monkeypatch):
-    """List that records the coupling of every skeleton sum from here on."""
-    sums, skeleton = [], history.GraphPass.skeleton
+    def statevector(*args):
+        runs.append("statevector")
+        return dense(*args) if stub is None else stub
 
-    def counted(table, adjacency, edge, dist):
-        sums.append(edge)
-        return skeleton(table, adjacency, edge, dist)
-
-    monkeypatch.setattr(history.GraphPass, "skeleton", counted)
-    return sums
+    monkeypatch.setattr(history.Elimination, "value", eliminated)
+    monkeypatch.setattr(lightcone, "_corr_statevector", statevector)
+    return runs
 
 
 def memo_key(graph, edge, p):
@@ -554,12 +533,11 @@ class TestTreeMemo:
     # At p=1 the closed form serves every coupling, so nothing is keyed or run.
     # At p=2 trees are read from the history table without a key, and the
     # loopy lightcones miss the memo three times: {(12, 13), (12, 14)},
-    # (13, 14) and (11, 12), whose ball holds the triangle, each summed on its
-    # one-cut skeleton.
+    # (13, 14) and (11, 12), whose ball holds the triangle, each run once.
     @pytest.mark.parametrize("p, misses", [(1, 0), (2, 3)])
     def test_one_engine_run_per_lightcone_shape(self, monkeypatch, p, misses):
         engine_edges, public_edges = count_engine_runs(monkeypatch), []
-        keyed, sums = count_calls(monkeypatch, "_memo_key"), count_skeleton_sums(monkeypatch)
+        keyed = count_calls(monkeypatch, "_memo_key")
         public = lightcone.edge_correlation
 
         def counted_public(graph, edge, *args, **kwargs):
@@ -572,7 +550,7 @@ class TestTreeMemo:
         adjacency = PATH_WITH_TRIANGLE.adjacency_lists()
         trees = [e for e in PATH_WITH_TRIANGLE.couplings
                  if is_tree(adjacency, lightcone._distances(adjacency, e, p), p)]
-        assert len(engine_edges) == 0 and len(sums) == misses
+        assert len(engine_edges) == misses
         assert not set(keyed) & set(trees)
         assert len(keyed) == (p > 1) * (len(PATH_WITH_TRIANGLE.couplings) - len(trees))
         assert public_edges == sorted(PATH_WITH_TRIANGLE.couplings)
