@@ -31,8 +31,8 @@ class BadRecord(ValueError):
 class TooLarge(ValueError):
     """A size past a ceiling, checked before allocation: 32 cars for brute force,
     2^30 cars for a random word, 30 qubits for the dense and native simulators,
-    2^30 shots for sampling and, as ``SupportTooLarge``, 30 qubits for a lightcone
-    support and 4^|kept| <= 2^cap for a named traced run.  A caller may cap lower."""
+    2^30 shots for sampling and, as ``SupportTooLarge``, 30 qubits for a lightcone support
+    and 2^cap entries held at once by a named traced run's plan.  A caller may cap lower."""
 
 
 # A random word holds its int64 sequence (16 bytes per car), its stable argsort (16,

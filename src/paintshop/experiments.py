@@ -7,6 +7,7 @@ row i does not depend on how many rows were requested.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -18,7 +19,7 @@ from .core import (
     random_instance,
 )
 from .heuristics import SOLVERS, greedy
-from .ising import coupling_stats, to_ising
+from .ising import _stats, coupling_stats, to_ising
 from .qaoa import (
     expectation,
     lightcone_expectation,
@@ -162,10 +163,10 @@ def run_coupling_stats(
 ) -> tuple[list, dict]:
     """Merged coupling value distribution and mean degree at large n."""
     rows = []
-    all_instances = []
+    hist = Counter()
     for idx, inst in _instances(n, count, seed):
-        all_instances.append(inst)
         stats = coupling_stats([inst])
+        hist.update(stats.histogram)
         rows.append(
             {
                 "instance_id": idx,
@@ -177,7 +178,7 @@ def run_coupling_stats(
                 "mean_degree": stats.mean_degree,
             }
         )
-    stats = coupling_stats(all_instances)
+    stats = _stats(hist, n * count)
     ok = (
         abs(stats.frac_minus_one - 2 / 3) <= 0.01
         and abs(stats.frac_plus_one - 1 / 3) <= 0.01

@@ -238,29 +238,30 @@ class CouplingStats:
 
 def coupling_stats(instances: Iterable[BpspInstance]) -> CouplingStats:
     hist: Counter = Counter()
-    degree_sum = 0
     qubit_count = 0
-    zero_merged = 0
     for inst in instances:
-        pairs, values, _, zeros = _merged_arrays(inst)
+        _, values, _, zeros = _merged_arrays(inst)
         keys, counts = np.unique(values, return_counts=True)
         hist.update(dict(zip(keys.tolist(), counts.tolist())))
         if zeros:
             hist[0] += zeros
-            zero_merged += zeros
-        degree_sum += 2 * values.size
         qubit_count += inst.n
+    return _stats(hist, qubit_count)
+
+
+def _stats(hist: Counter, qubit_count: int) -> CouplingStats:
+    """``CouplingStats`` of a merged pair-value histogram, 0 counting cancelled pairs."""
     pair_count = sum(hist.values())
     if pair_count == 0:
         raise NoCouplings("no couplings in the given instances")
     return CouplingStats(
         histogram=dict(sorted(hist.items())),
         pair_count=pair_count,
-        mean_degree=degree_sum / qubit_count,
-        frac_minus_one=hist.get(-1, 0) / pair_count,
-        frac_plus_one=hist.get(1, 0) / pair_count,
-        frac_mag_two=(hist.get(-2, 0) + hist.get(2, 0)) / pair_count,
-        zero_merged=zero_merged,
+        mean_degree=2 * (pair_count - hist[0]) / qubit_count,
+        frac_minus_one=hist[-1] / pair_count,
+        frac_plus_one=hist[1] / pair_count,
+        frac_mag_two=(hist[-2] + hist[2]) / pair_count,
+        zero_merged=hist[0],
     )
 
 

@@ -10,12 +10,13 @@ bra), m the measured spin and h_J(x) = exp(-i J PHASE_SCALE sum_t gamma_t
 h_J acts by XOR convolution, h_J (*) g: two Walsh-Hadamard transforms by reshape
 and add, as BLAS threads cost more than they save on 2^{2p+1} entries.  On a
 tree, c sends neighbour u h_J (*) (f prod M_w) over its other neighbours w, a
-boundary qubit (distance p) h_J (*) f.  ``GraphPass`` runs p - 1 rounds over
+boundary qubit (distance p) h_J (*) f.  ``tree_values`` runs p - 1 rounds over
 every directed coupling, by class (J and the sorted classes multiplied, one int
-per row for 1-D ``np.unique``), and <Z_i Z_j> = sum m g_i (h_J (*) m g_j), g_i
-being f times the messages into i but j's.  It holds O(m) integers and one
-complex vector per class, none per coupling: at p=2, 3 and 19 message classes
-at n=300 as at n=20 000, where the pass peaks at 355 bytes per coupling.
+per row for 1-D ``np.unique``), for <Z_i Z_j> = sum m g_i (h_J (*) m g_j), g_i
+being f times the messages into i but j's.  Its pass holds O(m) integers and
+one complex vector per class, none per coupling (at p=2, 3 and 19 message
+classes at n=300 as at n=20 000, peaking at 355 bytes per coupling), and it
+returns the table type the p=1 closed form makes, 176 bytes a coupling.
 
 Any lightcone is also an ``Elimination``.  A qubit at distance d from the
 coupling meets no mixer after level p - d, so with beta = 0 there its f
@@ -101,53 +102,46 @@ def _group(code: np.ndarray, columns: np.ndarray, sentinel: int):
     return code, first
 
 
-class GraphPass:
-    """``corr[e]`` of each directed coupling e whose lightcone is a tree, in the CSR
-    row of the qubit it enters (by neighbour, as ``adjacency_lists``), from messages
-    kept by class; those from over ``cap`` qubits, read by no lightcone within it,
-    share one class."""
-
-    def __init__(self, graph, params: QaoaParams, cap: int):
-        p, tables = params.p, tables_of(params)
-        first, second = graph.pairs.T
-        m, deg = len(first), graph.degrees()
-        row = deg.cumsum() - deg
-        order = np.concatenate((second, first)).argsort(kind="stable")
-        sender = np.concatenate((first, second))[order]
-        rank = order.argsort()
-        distinct, label = np.unique(graph.values, return_inverse=True)
-        couplings, hhat = label[order % m], _wht(np.exp(-1j * np.outer(distinct, tables.theta)))
-        # the sender's other incoming messages; 2m, the sentinel, past its row and for u
-        column = np.arange(max(0, min(int(deg.max(initial=0)), cap)))[:, None]
-        at = row[sender] + column
-        at[(column >= deg[sender]) | (at == rank[(order + m) % (2 * m)])] = 2 * m
-        f, size = tables.f, np.ones(2 * m, dtype=int)  # qubits on the sender's side
-        code, messages = couplings, _convolve(hhat, f[None])  # each one's class; by class
-        for r in range(1, p + 1):  # round p: g of each end, not yet sent
-            count = len(messages)
-            ids = np.append(code, count)[at]
-            ids.sort(axis=0)
-            size = 1 + np.append(size, 0)[at].sum(axis=0)
-            ids[:, size > cap] = count
-            code, rep = _group(np.where(size > cap, -1, couplings * (r < p)), ids, count)
-            known, g = np.vstack((messages, np.ones_like(f))), f
-            for column in ids[:, rep]:
-                g = g * known[column]
-            if r < p:
-                messages = _convolve(hhat[couplings[rep]], g)
-        # g of each end without the other, then sum m g_i (h_J (*) m g_j) per class
-        ends = np.sort((code[rank[:m]], code[rank[m:]]), axis=0)
-        pair, rep = _group(label, ends, len(g))
-        spectra = _wht(tables.m * g)
-        value = np.concatenate([
-            np.einsum("ck,ck,ck->c", hhat[label[c]], spectra[ends[0, c]], spectra[ends[1, c]])
-            for c in np.array_split(rep, 1 + len(rep) // 1024)])  # bounded temporaries
-        self.corr = (value.real / len(f))[pair][order % m]
-        self.row = row.tolist()
-
-    def tree_value(self, adjacency, i: int, j: int) -> float:
-        """<Z_i Z_j> of a coupling whose lightcone is a tree."""
-        return float(self.corr[self.row[i] + [v for v, _ in adjacency[i]].index(j)])
+def tree_values(graph, params: QaoaParams, cap: int) -> dict:
+    """<Z_i Z_j> keyed by (i, j), i < j, exact where the coupling's lightcone is a tree;
+    messages from over ``cap`` qubits, read by no lightcone within it, share one class."""
+    p, tables = params.p, tables_of(params)
+    first, second = graph.pairs.T
+    m, deg = len(first), graph.degrees()
+    row = deg.cumsum() - deg
+    order = np.concatenate((second, first)).argsort(kind="stable")
+    sender = np.concatenate((first, second))[order]
+    rank = order.argsort()
+    distinct, label = np.unique(graph.values, return_inverse=True)
+    couplings, hhat = label[order % m], _wht(np.exp(-1j * np.outer(distinct, tables.theta)))
+    # the sender's other incoming messages; 2m, the sentinel, past its row and for u
+    column = np.arange(max(0, min(int(deg.max(initial=0)), cap)))[:, None]
+    at = row[sender] + column
+    at[(column >= deg[sender]) | (at == rank[(order + m) % (2 * m)])] = 2 * m
+    f, size = tables.f, np.ones(2 * m, dtype=int)  # qubits on the sender's side
+    code, messages = couplings, _convolve(hhat, f[None])  # each one's class; by class
+    for r in range(1, p + 1):  # round p: g of each end, not yet sent
+        count = len(messages)
+        ids = np.append(code, count)[at]
+        ids.sort(axis=0)
+        size = 1 + np.append(size, 0)[at].sum(axis=0)
+        ids[:, size > cap] = count
+        code, rep = _group(np.where(size > cap, -1, couplings * (r < p)), ids, count)
+        known, g = np.vstack((messages, np.ones_like(f))), f
+        for column in ids[:, rep]:
+            g = g * known[column]
+        if r < p:
+            messages = _convolve(hhat[couplings[rep]], g)
+    # g of each end without the other, then sum m g_i (h_J (*) m g_j) per class
+    ends = np.sort((code[rank[:m]], code[rank[m:]]), axis=0)
+    pair, rep = _group(label, ends, len(g))
+    spectra = _wht(tables.m * g)
+    value = np.concatenate([
+        np.einsum("ck,ck,ck->c", hhat[label[c]], spectra[ends[0, c]], spectra[ends[1, c]])
+        for c in np.array_split(rep, 1 + len(rep) // 1024)])  # bounded temporaries
+    corr = (value.real / len(f))[pair].tolist()
+    del at, ids  # a round's gathers, 32 width bytes a coupling, before the table's 176
+    return dict(zip(zip(*graph.pairs.T.tolist()), corr))
 
 
 class Elimination:

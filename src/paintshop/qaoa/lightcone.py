@@ -21,21 +21,21 @@ than 2^cap entries.  The automatic choice eliminates when the plan's largest
 product has at most 2^|support| entries, as many as the dense state, and
 runs the dense engine otherwise.
 
-At p >= 2 ``lightcone_expectation`` keys no tree lightcone (|support| - 1
-acting couplings: only those with an endpoint in the kept ball act, one
-between two boundary qubits cancels): its first coupling within the cap runs
-``history.GraphPass``, messages over every directed coupling, which give each
-tree's value.  Any other lightcone is memoized for the call by ``_memo_key``
-and on a miss evaluated as without a memo.  On the four n=300 p=2 benchmark
-words (seed 102), 1544 of 2381 couplings are trees and 165 lightcones are
-eliminated; on the 64 n=16 ``fig2`` words, 1110 are and 591 run dense.
-
-At p=1 the first call with a memo stores <Z_i Z_j> of every coupling that
-fits the cap, from ``_closed_form``: one vectorized pass over the graph's
-arrays, no key, no adjacency lists, rounding as one coupling at a time would.
-Any other coupling raises ``SupportTooLarge`` from the search.  Calls without
-a memo or naming an engine still run one, so the tests hold the closed form
-to both engines.
+With a memo, as ``lightcone_expectation`` calls it, a coupling reads a
+whole-graph table of <Z_i Z_j> keyed by (i, j), i < j.  At p=1 the first call
+stores each coupling that fits the cap from ``_closed_form``: one vectorized
+pass over the graph's arrays, no key, no adjacency lists, rounding as one
+coupling at a time would; any other raises ``SupportTooLarge`` from the search.
+At p >= 2 the first tree lightcone within the cap (|support| - 1 acting
+couplings: only those with an endpoint in the kept ball act, one between two
+boundary qubits cancels) runs ``history.tree_values``, exact on trees.  Other
+lightcones are memoized by shape (``_memo_key``), on a miss evaluated as
+without a memo, as is a pair that is no coupling.  On the four n=300 p=2
+benchmark words (seed 102), 1544 of 2381 couplings are trees and 165
+lightcones are eliminated; on the 64 n=16 ``fig2`` words, 1110 are and 591 run
+dense.  A new schedule or cap clears the memo, a new graph only its table, so
+shapes stay memoized across one schedule's words.  Calls without a memo or
+naming an engine still run one, so the tests hold the tables to both engines.
 """
 from __future__ import annotations
 
@@ -172,20 +172,22 @@ def edge_correlation(
     _adjacency=None,
     _memo=None,
 ) -> float:
-    """<Z_i Z_j> of one coupling under the restricted circuit; with ``_memo`` and
-    the automatic engine, from a whole-graph table filled for this graph and
-    params (p=1 closed forms, p >= 2 history messages) or memoized by key."""
+    """<Z_i Z_j> of one pair under the restricted circuit; with ``_memo`` and the
+    automatic engine, a coupling's from a whole-graph table filled for this graph
+    (p=1 closed forms, p >= 2 tree values) or memoized by shape for these params."""
     if engine not in ("auto", "traced", "statevector"):
         raise ValueError(f"unknown engine {engine!r}")
     p, cap = params.p, min(support_cap, _MAX_QUBITS)
     auto = _memo is not None and engine == "auto"
     if auto:
-        whole = _memo.get("graph", (None,) * 4)  # no lightcone key is a str
-        if whole[0] is not graph or whole[1] is not params or whole[2] != cap:
+        scope = _memo.get("scope", (None,) * 4)  # no lightcone key is a str
+        if scope[0] is not graph or scope[1] is not params or scope[2] != cap:
+            if scope[1] is not params or scope[2] != cap:  # shapes hold under one schedule
+                _memo.clear()
             table = _closed_form(graph, params, cap) if p == 1 else None  # else on first use
-            whole = _memo["graph"] = [graph, params, cap, table]
-        corr = whole[3].get(tuple(edge)) if p == 1 else None
-        if corr is not None:
+            scope = _memo["scope"] = [graph, params, cap, table]
+        pair = tuple(edge) if edge[0] < edge[1] else (edge[1], edge[0])
+        if p == 1 and (corr := scope[3].get(pair)) is not None:
             return corr
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency
     dist = _distances(adjacency, edge, p)
@@ -196,12 +198,13 @@ def edge_correlation(
         return _corr_statevector(adjacency, edge, dist, params)
     acting = [(u, v, J) for u, d in dist.items() if d < p
               for v, J in adjacency[u] if dist[v] == p or u < v]
-    if auto:
-        whole[3] = whole[3] or history.GraphPass(graph, params, cap)
+    coupling = dict(adjacency[edge[0]]).get(edge[1]) if auto else None
+    if coupling is not None:  # with a memo; any other pair is evaluated as without one
         if len(acting) == size - 1:  # a tree
-            return whole[3].tree_value(adjacency, *edge)
+            scope[3] = scope[3] or history.tree_values(graph, params, cap)
+            return scope[3][pair]
         key = _memo_key(adjacency, edge, dist, p)
-        sign = 1.0 if dict(adjacency[edge[0]])[edge[1]] > 0 else -1.0
+        sign = 1.0 if coupling > 0 else -1.0
         if key in _memo:
             return sign * _memo[key]
     plan = history.Elimination(history.tables_of(params), dist, acting)
@@ -211,7 +214,7 @@ def edge_correlation(
         raise SupportTooLarge(f"traced {edge} plans {plan.entries} entries, cap is 2^{cap}")
     else:
         corr = _corr_statevector(adjacency, edge, dist, params)
-    if auto:
+    if coupling is not None:
         _memo[key] = sign * corr
     return corr
 

@@ -42,12 +42,12 @@ def dense(graph, edge, params):
 def check_tree_table(graph, p):
     """Every tree coupling's table value against the dense engine; returns how many."""
     params, adjacency = tree_params(p), graph.adjacency_lists()
-    table = history.GraphPass(graph, params, lightcone.SUPPORT_CAP)
+    table = history.tree_values(graph, params, lightcone.SUPPORT_CAP)
+    assert list(table) == sorted(graph.couplings)
     trees = [edge for edge in sorted(graph.couplings)
              if is_tree(adjacency, lightcone._distances(adjacency, edge, p), p)]
     for edge in trees:
-        assert table.tree_value(adjacency, *edge) == pytest.approx(
-            dense(graph, edge, params), abs=1e-12)
+        assert table[edge] == pytest.approx(dense(graph, edge, params), abs=1e-12)
     return len(trees)
 
 
@@ -222,7 +222,7 @@ class TestFootprint:
         """At p=2 every support of HAND_BUILT exceeds 5 qubits: the sum raises at
         its first coupling, as at p=1, without running the whole-graph pass."""
         passes = []
-        monkeypatch.setattr(history, "GraphPass", lambda *args: passes.append(args))
+        monkeypatch.setattr(history, "tree_values", lambda *args: passes.append(args))
         with pytest.raises(SupportTooLarge, match=r"^support of \(0, 1\) has \d+ qubits, cap is 5$"):
             lightcone_expectation(HAND_BUILT, tree_params(2), support_cap=5)
         assert passes == []
@@ -246,12 +246,14 @@ class TestFootprint:
         senders, ranks, labels, the classes of each round, sizes, and
         np.unique's keys, order, sorted copy and inverse; 256 bytes).  A
         word's qubits have degree at most 4, so 448 bytes in all, where one
-        complex vector of 32 histories per coupling would take 512."""
+        complex vector of 32 histories per coupling would take 512.  The
+        returned table (176 bytes) is built once ``at`` and the gathered
+        classes are freed."""
         graph = to_ising(random_instance(20_000, instance_rng(51, 0)))
         assert int(graph.degrees().max()) <= 4
         tracemalloc.start()
         try:
-            history.GraphPass(graph, tree_params(2), lightcone.SUPPORT_CAP)
+            history.tree_values(graph, tree_params(2), lightcone.SUPPORT_CAP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Restricted-support evaluation against the full dense simulation."""
 import hashlib
+import itertools
 import tracemalloc
 from collections import deque
 from functools import cached_property
@@ -502,6 +503,14 @@ PATH_WITH_TRIANGLE = CouplingGraph(n=15, couplings={
 }, constant=3)
 
 
+#: The triangle 0-1-2 with the path 2-3-4-5 hanging off it.  Tree lightcones:
+#: (2, 3), (3, 4) and (4, 5) at p=1, where 0-1 joins two boundary qubits; the
+#: last two at p=2; (4, 5) at p=3.
+TRIANGLE_WITH_TAIL = CouplingGraph(n=6, couplings={
+    (0, 1): 1, (1, 2): -1, (0, 2): 2, (2, 3): 1, (3, 4): -1, (4, 5): 1,
+}, constant=0)
+
+
 def check_memo(graph, params):
     """Memoized against memo-free, per coupling and in total, to 1e-12."""
     free = free_correlations(graph, params)
@@ -529,6 +538,16 @@ class TestTreeMemo:
             check_memo(random_tree(rng, n), tree_params(p))
         check_memo(PATH_WITH_TRIANGLE, tree_params(p))
         check_memo(HAND_BUILT, tree_params(p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_every_ordered_pair_matches_memo_free(self, p):
+        """One memo per graph serves couplings named in either order, and pairs
+        that are no coupling as a memo-free call does."""
+        for graph in (HAND_BUILT, PATH_WITH_TRIANGLE, TRIANGLE_WITH_TAIL):
+            params, memo = tree_params(p), {}
+            for edge in itertools.permutations(range(graph.n), 2):
+                assert edge_correlation(graph, edge, params, _memo=memo) == pytest.approx(
+                    edge_correlation(graph, edge, params), abs=1e-12)
 
     # At p=1 the closed form serves every coupling, so nothing is keyed or run.
     # At p=2 trees are read from the history table without a key, and the
@@ -670,6 +689,10 @@ class TestLoopyMemo:
         graph = to_ising(random_instance(300, instance_rng(102, 0)))
         check_memo(graph, tree_params(2))
 
+    def test_table1_p2_rows_keep_their_bytes(self):
+        rows, _ = run_table1(2)
+        assert tuple(float.hex(row["mean_energy_adj"]) for row in rows) == TABLE1_P2_ROWS
+
 
 #: float.hex of ``mean_energy_adj`` in the 20 rows of ``run_table1(1)`` at
 #: default flags, and sha256 of the float.hex of every coupling's <Z_i Z_j> on
@@ -684,6 +707,15 @@ TABLE1_P1_ROWS = (
     "-0x1.43f295db951adp+9", "-0x1.4459bbd31d44dp+9", "-0x1.44aaba9f2e9b7p+9",
     "-0x1.44e3969313de9p+9", "-0x1.44ac28ffc6202p+9", "-0x1.43d904a2d1828p+9",
     "-0x1.43b4e179cb8e6p+9", "-0x1.449297c702881p+9",
+)
+#: float.hex of ``mean_energy_adj`` in the 10 rows of ``run_table1(2)`` at
+#: default flags, recorded before both whole-graph passes returned one table
+#: type.
+TABLE1_P2_ROWS = (
+    "-0x1.02705691ef284p+8", "-0x1.021a6e65f075bp+8", "-0x1.02509d4c10b2ep+8",
+    "-0x1.00c68ee19f9c5p+8", "-0x1.019a053539d52p+8", "-0x1.ffde2394e0253p+7",
+    "-0x1.0388da9b8b736p+8", "-0x1.0226424bf5bafp+8", "-0x1.ff4bab21bc505p+7",
+    "-0x1.fe76fc0b08d82p+7",
 )
 TABLE1_P1_WORD0 = "3979c84589c0ff1b7151c1cd73b107692fd07aa1ac06a0f6712bcbd3bf5eafd7"
 
@@ -714,21 +746,27 @@ class TestClosedForm:
 
     def test_a_shared_memo_serves_each_graph_and_params_its_own_values(self):
         """Calls on two graphs that share five couplings, (0, 1) among them,
-        under two schedules, take turns on one memo: each gets what a memo of
-        its own gives, though the memo was last filled for another."""
-        fixed, other = tree_params(1), QaoaParams(((0.3, -0.7),))
-        # each turn changes the graph or the schedule, not both
-        cases = [(HAND_BUILT, fixed), (PATH_WITH_TRIANGLE, fixed),
-                 (PATH_WITH_TRIANGLE, other), (HAND_BUILT, other)]
-        own = [memoized_correlations(graph, params) for graph, params in cases]
-        assert own[0][(0, 1)] != own[1][(0, 1)] and own[0][(0, 1)] != own[3][(0, 1)]
-        shared = {}
-        for k in range(len(HAND_BUILT.couplings)):
-            for (graph, params), values in zip(cases, own):
-                edge = sorted(graph.couplings)[k]
-                assert edge_correlation(graph, edge, params, _memo=shared) == values[edge]
-                # the memo-free form takes an edge as any pair, so the lookup does too
-                assert edge_correlation(graph, list(edge), params, _memo=shared) == values[edge]
+        under two schedules at p = 1..3, take turns on one memo: each gets what
+        a memo of its own gives, though the memo was last filled for another.
+        At p >= 2 a loopy lightcone may read a shape the other graph memoized,
+        equal to 1e-12."""
+        for p in (1, 2, 3):
+            fixed = tree_params(p)
+            other = QaoaParams(tuple((0.3 + 0.1 * t, -0.7 + 0.2 * t) for t in range(p)))
+            # each turn changes the graph or the schedule, not both
+            cases = [(HAND_BUILT, fixed), (PATH_WITH_TRIANGLE, fixed),
+                     (PATH_WITH_TRIANGLE, other), (HAND_BUILT, other)]
+            own = [memoized_correlations(graph, params) for graph, params in cases]
+            assert own[0][(0, 1)] != own[1][(0, 1)] and own[0][(0, 1)] != own[3][(0, 1)]
+            shared, tolerance = {}, 0 if p == 1 else 1e-12
+            for k in range(len(HAND_BUILT.couplings)):
+                for (graph, params), values in zip(cases, own):
+                    edge = sorted(graph.couplings)[k]
+                    corr = edge_correlation(graph, edge, params, _memo=shared)
+                    assert abs(corr - values[edge]) <= tolerance
+                    # the memo-free form takes an edge as any pair, so the lookup does too
+                    corr = edge_correlation(graph, list(edge), params, _memo=shared)
+                    assert abs(corr - values[edge]) <= tolerance
 
     def test_only_couplings_past_the_cap_raise(self):
         """The triangle 0-1-2 fits a cap of 6; (2, 3) reaches the star at 3
