@@ -7,8 +7,9 @@ couplings plus the constant gives the exact mean adjacency energy without
 ever building the full statevector, so instance size is limited by coupling
 degrees rather than qubit count.
 
-One breadth-first search per coupling records each qubit's distance from
-the edge, up to p: distance <= p is the support, checked against the cap
+One breadth-first search per pair, which raises ``ValueError`` first unless
+the pair is two distinct qubits of the graph, records each qubit's distance
+from the pair, up to p: distance <= p is the support, checked against the cap
 (``SUPPORT_CAP`` unless given, clipped at the dense simulator's 30 qubits
 whatever the caller asks), distance < p the kept ball, distance exactly p
 its boundary.
@@ -61,15 +62,16 @@ class SupportTooLarge(TooLarge):
 
 @dataclass(frozen=True)
 class LightconeTask:
-    """One coupling's restricted circuit: its support and interior couplings."""
+    """One pair's restricted circuit: the pair and its support."""
 
     edge: tuple
     support: frozenset
-    included_edges: tuple
 
 
 def _distances(adjacency, edge, radius: int) -> dict:
-    """Graph distance from the edge of every qubit within ``radius`` of it."""
+    """Graph distance from the pair of every qubit within ``radius`` of it."""
+    if len(edge) != 2 or edge[0] == edge[1] or not 0 <= min(edge) <= max(edge) < len(adjacency):
+        raise ValueError(f"pair {edge} is not two distinct qubits of 0..{len(adjacency) - 1}")
     dist = dict.fromkeys(edge, 0)
     frontier = list(edge)
     for d in range(1, radius + 1):
@@ -83,29 +85,17 @@ def _distances(adjacency, edge, radius: int) -> dict:
     return dist
 
 
-def _included_edges(adj, support) -> dict:
-    """Couplings with both endpoints in the support, in sorted order."""
-    return dict(sorted(
-        ((u, v), J) for u in support for v, J in adj[u] if u < v and v in support
-    ))
-
-
 def lightcone_support(graph: CouplingGraph, edge: tuple, p: int) -> LightconeTask:
-    """Support (radius-p ball around the edge) and the couplings inside it."""
-    adjacency = graph.adjacency_lists()
-    support = _distances(adjacency, edge, p)
-    included = tuple(_included_edges(adjacency, support))
-    return LightconeTask(tuple(edge), frozenset(support), included)
+    """The pair and its support, the radius-p ball around it, from one search."""
+    return LightconeTask(tuple(edge), frozenset(_distances(graph.adjacency_lists(), edge, p)))
 
 
 def _corr_statevector(adjacency, edge, support, params) -> float:
     """<Z_i Z_j> from the dense simulator on the support, in 32 bytes per amplitude."""
     index = {q: t for t, q in enumerate(sorted(support))}
     k = len(index)
-    included = _included_edges(adjacency, index)
-    local = (((index[a], index[b]), val) for (a, b), val in included.items())
-    graph = CouplingGraph(n=k, couplings=local, constant=0)
-    state = simulate_state(graph, params, cap_qubits=k)
+    sub = {(index[u], index[v]): J for u in index for v, J in adjacency[u] if u < v and v in index}
+    state = simulate_state(CouplingGraph(n=k, couplings=sub, constant=0), params, cap_qubits=k)
     probs = np.abs(state.amplitudes) ** 2
     # s_i s_j: -1 on the two quarters of the index where bits i and j differ
     lo, hi = sorted(index[q] for q in edge)
@@ -186,7 +176,7 @@ def edge_correlation(
                 _memo.clear()
             table = _closed_form(graph, params, cap) if p == 1 else None  # else on first use
             scope = _memo["scope"] = [graph, params, cap, table]
-        pair = tuple(edge) if edge[0] < edge[1] else (edge[1], edge[0])
+        pair = tuple(edge) if edge[0] < edge[-1] else tuple(edge[::-1])  # a bad pair misses
         if p == 1 and (corr := scope[3].get(pair)) is not None:
             return corr
     adjacency = graph.adjacency_lists() if _adjacency is None else _adjacency

@@ -17,6 +17,8 @@ every gamma doubled; it gives ~ 0.89 n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from numbers import Real
 
 
 class UnknownParams(ValueError):
@@ -29,9 +31,16 @@ PHASE_SCALE = 0.5
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """Angle schedule: ``angles[l] = (gamma, beta)`` for level l+1."""
+    """Non-empty angle schedule: ``angles[l] = (gamma, beta)`` for level l+1, finite reals."""
 
     angles: tuple
+
+    def __post_init__(self):
+        if not (isinstance(self.angles, tuple) and self.angles and all(
+                isinstance(level, tuple) and len(level) == 2 and all(
+                    isinstance(a, Real) and type(a) is not bool and -inf < a < inf for a in level)
+                for level in self.angles)):
+            raise ValueError(f"schedule {self.angles!r} is not (gamma, beta) pairs of finite reals")
 
     @property
     def p(self) -> int:

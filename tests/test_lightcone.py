@@ -1,6 +1,7 @@
 """Restricted-support evaluation against the full dense simulation."""
 import hashlib
 import itertools
+import re
 import tracemalloc
 from collections import deque
 from functools import cached_property
@@ -32,12 +33,12 @@ from paintshop.qaoa import history, lightcone
 
 
 def full_correlations(graph, params):
-    """<Z_i Z_j> of every coupling from the full-graph statevector."""
+    """<Z_i Z_j> of every pair i < j from the full-graph statevector."""
     probs = np.abs(simulate_state(graph, params).amplitudes) ** 2
     basis = np.arange(1 << graph.n)
     spins = 1 - 2 * ((basis[:, None] >> np.arange(graph.n)[None, :]) & 1)
     return {(i, j): float(probs @ (spins[:, i] * spins[:, j]))
-            for i, j in graph.couplings}
+            for i, j in itertools.combinations(range(graph.n), 2)}
 
 
 #: Around the coupling (0, 1): the triangle 0-1-2; qubits 5 (two neighbours
@@ -97,18 +98,6 @@ class TestSupport:
                     task = lightcone_support(g, edge, p)
                     assert len(task.support) <= 3 ** (p + 1) - 1
 
-    def test_included_edges_are_those_inside_support(self):
-        for k in range(4):
-            g = to_ising(random_instance(30, instance_rng(41, 200 + k)))
-            for p in (1, 2, 3):
-                for edge in sorted(g.couplings):
-                    task = lightcone_support(g, edge, p)
-                    support = reference_ball(g.couplings, edge, p)
-                    expected = sorted(
-                        e for e in g.couplings if e[0] in support and e[1] in support
-                    )
-                    assert list(task.included_edges) == expected
-
     def test_public_calls_build_the_adjacency_once(self, monkeypatch):
         built = []
         build = CouplingGraph._adjacency.func
@@ -143,6 +132,32 @@ class TestSupport:
         with pytest.raises(SupportTooLarge, match="has 31 qubits, cap is 30"):
             lightcone_expectation(star, tree_params(1), support_cap=40)
         assert runs == []
+
+
+#: The path 0-1-2-3, couplings of both signs.
+PATH = CouplingGraph(n=4, couplings={(0, 1): 1, (1, 2): -1, (2, 3): 1}, constant=0)
+
+
+class TestBadPairs:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_a_pair_that_is_not_two_qubits_raises_everywhere(self, p):
+        """A repeated qubit, one outside 0..n-1 or a third one raise ValueError
+        from every engine, through the memo and from the support, and a memo
+        that saw them still gives each coupling its memo-free value."""
+        params = tree_params(p)
+        for graph in (PATH, TRIANGLE_WITH_TAIL):
+            memo = {}
+            edge_correlation(graph, (0, 1), params, _memo=memo)
+            for pair in ((2, 2), (-1, 0), (0, graph.n), (0, 1, 2)):
+                for kwargs in ({"engine": "auto"}, {"engine": "traced"},
+                               {"engine": "statevector"}, {"_memo": memo}):
+                    with pytest.raises(ValueError, match=re.escape(f"pair {pair} is not")):
+                        edge_correlation(graph, pair, params, **kwargs)
+                with pytest.raises(ValueError, match=re.escape(f"pair {pair} is not")):
+                    lightcone_support(graph, pair, p)
+            for edge in sorted(graph.couplings):
+                assert edge_correlation(graph, edge, params, _memo=memo) == pytest.approx(
+                    edge_correlation(graph, edge, params), abs=1e-12)
 
 
 #: Support cap of the tests that name the elimination on graphs of at most 9
@@ -335,10 +350,13 @@ class TestEngines:
 
 class TestAgainstFullStatevector:
     def test_every_coupling_matches_full_state(self):
-        """Each engine's <Z_i Z_j> against the full-graph statevector."""
+        """Each engine's <Z_i Z_j> against the full-graph statevector, on every
+        coupling and, up to 8 qubits, on every ordered pair of qubits."""
         for k in range(8):
             n = 5 + k
             g = to_ising(random_instance(n, instance_rng(45, k)))
+            pairs = itertools.permutations(range(n), 2) if n <= 8 else ()
+            others = [e for e in pairs if e not in g.couplings]
             for p in (1, 2, 3) if n <= 10 else (1, 2):
                 params = tree_params(p)
                 full = full_correlations(g, params)
@@ -346,6 +364,18 @@ class TestAgainstFullStatevector:
                     for engine in ("auto", "traced", "statevector"):
                         corr = edge_correlation(g, edge, params, engine=engine)
                         assert corr == pytest.approx(full[edge], abs=1e-12)
+                for edge in others:
+                    expected = full[tuple(sorted(edge))]
+                    for engine in ("auto", "statevector"):
+                        corr = edge_correlation(g, edge, params, engine=engine)
+                        assert corr == pytest.approx(expected, abs=1e-12)
+                    try:
+                        corr = edge_correlation(g, edge, params, engine="traced",
+                                                support_cap=SMALL_CAP)
+                    except SupportTooLarge:  # raised by the plan, before any array
+                        assert whole_plan(g, edge, params)[0].entries > 2**SMALL_CAP
+                        continue
+                    assert corr == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_hand_built_loops_and_double_couplings(self, p):

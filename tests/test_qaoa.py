@@ -79,6 +79,21 @@ class TestSchedule:
         with pytest.raises(UnknownParams):
             tree_params(0)
 
+    @pytest.mark.parametrize("angles", [
+        (), ((0.1,),), ((0.1, 0.2, 0.3),), ((0.1, 0.2), 0.3), [(0.1, 0.2)], ([0.1, 0.2],),
+        np.array([[0.1, 0.2]]), ((math.nan, 0.1),), ((0.1, -math.inf),), ((np.float32("nan"), 0.1),),
+        ((True, 0.1),), ((0.1, np.True_),), (("0.1", 0.2),), ((1j, 0.2),), ((None, 0.2),),
+    ])
+    def test_malformed_schedule_raises_at_construction(self, angles):
+        """Anything but a non-empty tuple of (gamma, beta) pairs of finite reals
+        is refused before any evaluator sees it."""
+        with pytest.raises(ValueError, match="is not \\(gamma, beta\\) pairs of finite reals"):
+            QaoaParams(angles)
+
+    def test_numpy_and_integer_angles_construct(self):
+        angles = ((np.float32(0.5), np.int64(-1)), (1, np.float64(0.25)))
+        assert QaoaParams(angles).angles == angles
+
 
 class TestFrozenReferences:
     def test_two_qubit_depth_one(self):
