@@ -18,15 +18,13 @@ p * m two-qubit gates plus n * (p + 1) single-qubit gates.
 """
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TooLarge, json_fields, shown
 from .ising import CouplingGraph
-from .qaoa.params import PHASE_SCALE, QaoaParams
+from .qaoa.params import PHASE_SCALE, QaoaParams, finite_angle
 from .qaoa.statevector import _MAX_QUBITS, Statevector, _phase_z, _rotate_x
 
 
@@ -70,7 +68,7 @@ class NativeCircuit:
 
 def _check_gate(index: int, gate: NativeGate, n: int) -> None:
     """ValueError naming the gate and field unless its qubits are ints in 0..n-1, one
-    per wire, and its angles finite ints or floats, one per angle field."""
+    per wire, and its angles finite (``finite_angle``), one per angle field."""
     kind, qubits, angles = gate.kind, gate.qubits, gate.angles
     qubit_key, angle_keys = _wire_fields(kind)
     pair = qubit_key == "qubits"
@@ -82,8 +80,7 @@ def _check_gate(index: int, gate: NativeGate, n: int) -> None:
     if len(angles) != len(angle_keys):
         raise ValueError(f"gate {index} ({kind}): bad 'angles': {shown(angles)}")
     for key, a in zip(angle_keys, angles):
-        if not (type(a) is int and abs(a) <= sys.float_info.max  # isfinite raises past it
-                or isinstance(a, float) and math.isfinite(a)):
+        if not finite_angle(a):
             raise ValueError(f"gate {index} ({kind}): bad {key!r}: {shown(a)}")
 
 
@@ -117,7 +114,7 @@ def compile_qaoa(graph: CouplingGraph, params: QaoaParams) -> NativeCircuit:
 
     def phase_layer(gamma: float) -> None:
         # exp(-i gamma * PHASE_SCALE * J * XX) = R_XX(2 gamma * PHASE_SCALE * J)
-        for (a, b), value in graph.couplings.items():
+        for (a, b), value in zip(graph.couplings, graph.values.tolist()):
             gates.append(rxx(a, b, 2 * gamma * PHASE_SCALE * value))
 
     angles = params.angles

@@ -51,8 +51,8 @@ class NoCouplings(ValueError):
 
 
 class Couplings(Mapping):
-    """Read-only mapping (i, j) -> J over a graph's sorted arrays: keys, items and
-    values are Python ints in key order, from one ``tolist``; a lookup is a search."""
+    """Read-only mapping (i, j) -> J over a graph's sorted arrays, keys in key order from
+    one ``tolist``; the first lookup, ``in``, ``items()`` or ``values()`` builds a dict."""
 
     def __init__(self, pairs: np.ndarray, values: np.ndarray):
         self._pairs, self._values = pairs, values
@@ -65,43 +65,32 @@ class Couplings(Mapping):
 
     def __getitem__(self, key) -> int:
         i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
-        if type(i) in _INTS and type(j) in _INTS and 0 <= i < j <= _INT64_MAX:
-            i, j = int(i), int(j)  # a numpy uint64 would search as a float
-            first, second = self._pairs.T  # each contiguous: the pairs are column-major
-            lo, hi = first.searchsorted((i, i + 1))
-            at = lo + second[lo:hi].searchsorted(j)
-            if at < hi and second[at] == j:
-                return int(self._values[at])
+        if type(i) in _INTS and type(j) in _INTS and (value := self._lookup.get(key)) is not None:
+            return value
         raise KeyError(key)
 
+    @cached_property
+    def _lookup(self) -> dict:
+        return dict(zip(self, self._values.tolist()))
+
     def items(self) -> ItemsView:
-        return _Items(self)
+        return self._lookup.items()
 
     def values(self) -> ValuesView:
-        return _Values(self)
+        return self._lookup.values()
 
     def __repr__(self) -> str:
-        return f"Couplings({dict(self.items())!r})"
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._values.tolist())
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._values.tolist())
+        return f"Couplings({self._lookup!r})"
 
 
 @dataclass(frozen=True, init=False)
 class CouplingGraph:
     """Merged pair couplings plus an additive constant, stored as read-only int64
     arrays: ``pairs`` (m, 2), rows i < j in increasing order, and their J in
-    ``values``; ``couplings`` is a mapping view of both.  The graph takes a mapping
-    or ((i, j), J) items, as ``dict`` does, or the arrays by ``from_arrays``, and
-    keeps copies.  It checks each key is a pair (i, j) with 0 <= i < j < n and each
-    J an integer with |J| < 2**63, raising ``ValueError`` naming any other coupling."""
+    ``values``, which loops read; ``couplings`` is a mapping view for lookups.  It
+    takes a mapping or ((i, j), J) items, as ``dict`` does, or the arrays by
+    ``from_arrays``, and keeps copies.  It checks each key is a pair (i, j) with
+    0 <= i < j < n and each J an int, |J| < 2**63: ``ValueError`` names any other."""
 
     n: int
     couplings: Couplings
@@ -154,7 +143,7 @@ class CouplingGraph:
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for (i, j), val in self.couplings.items():
+        for (i, j), val in zip(self.couplings, self.values.tolist()):
             adj[i].append((j, val))
             adj[j].append((i, val))
         return tuple(map(tuple, adj))

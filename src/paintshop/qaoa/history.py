@@ -27,7 +27,6 @@ folded in, keeping 2^{2p}.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 
 import numpy as np
@@ -169,21 +168,18 @@ class Elimination:
         def product(q):
             return size[q] * math.prod([size[u] for u in near[q]])
 
-        heap = sorted((product(q), q) for q in near)  # sorted, so a heap
         self.order, made = [], []  # made: (scope, entries) of each factor a step makes
         self.largest = self.entries = max([2 * size[u] for u, _ in self.leaves], default=0)
-        while heap:
-            product_v, v = heapq.heappop(heap)
-            if v in near and product_v == product(v):  # else a later entry holds v
-                self.order.append(v)
-                others = near.pop(v)
-                made.append((others, product_v // size[v]))
-                self.largest = max(self.largest, product_v)
-                self.entries = max(self.entries, product_v + sum(e for _, e in made))
-                made = [f for f in made if v not in f[0]]
-                for u in others:
-                    near[u] = (near[u] | others) - {u, v}
-                    heapq.heappush(heap, (product(u), u))
+        while near:
+            product_v, v = min((product(q), q) for q in near)
+            self.order.append(v)
+            others = near.pop(v)
+            made.append((others, product_v // size[v]))
+            self.largest = max(self.largest, product_v)
+            self.entries = max(self.entries, product_v + sum(e for _, e in made))
+            made = [f for f in made if v not in f[0]]
+            for u in others:
+                near[u] = (near[u] | others) - {u, v}
 
     def value(self) -> float:
         tables, dist, size = self.tables, self.dist, self.size

@@ -8,7 +8,7 @@ ever building the full statevector, so instance size is limited by coupling
 degrees rather than qubit count.
 
 One breadth-first search per pair, which raises ``ValueError`` first unless
-the pair is two distinct qubits of the graph, records each qubit's distance
+the pair is two distinct int qubits of the graph, records each qubit's distance
 from the pair, up to p: distance <= p is the support, checked against the cap
 (``SUPPORT_CAP`` unless given, clipped at the dense simulator's 30 qubits
 whatever the caller asks), distance < p the kept ball, distance exactly p
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import TooLarge
-from ..ising import CouplingGraph
+from ..ising import _INTS, CouplingGraph
 from . import history
 from .params import PHASE_SCALE, QaoaParams
 from .statevector import _MAX_QUBITS, EnergySummary, simulate_state
@@ -70,8 +70,9 @@ class LightconeTask:
 
 def _distances(adjacency, edge, radius: int) -> dict:
     """Graph distance from the pair of every qubit within ``radius`` of it."""
-    if len(edge) != 2 or edge[0] == edge[1] or not 0 <= min(edge) <= max(edge) < len(adjacency):
-        raise ValueError(f"pair {edge} is not two distinct qubits of 0..{len(adjacency) - 1}")
+    if not (len(edge) == 2 and {type(q) for q in edge} <= _INTS and edge[0] != edge[1]
+            and 0 <= min(edge) <= max(edge) < len(adjacency)):
+        raise ValueError(f"pair {edge} is not two distinct int qubits of 0..{len(adjacency) - 1}")
     dist = dict.fromkeys(edge, 0)
     frontier = list(edge)
     for d in range(1, radius + 1):
@@ -164,7 +165,9 @@ def edge_correlation(
 ) -> float:
     """<Z_i Z_j> of one pair under the restricted circuit; with ``_memo`` and the
     automatic engine, a coupling's from a whole-graph table filled for this graph
-    (p=1 closed forms, p >= 2 tree values) or memoized by shape for these params."""
+    (p=1 closed forms, p >= 2 tree values) or memoized by shape for these params.
+    ``_memo`` takes the graph's couplings, as ``lightcone_expectation`` passes them: at
+    p=1 its table is read before the search, so (0.0, 1) reads the (0, 1) value."""
     if engine not in ("auto", "traced", "statevector"):
         raise ValueError(f"unknown engine {engine!r}")
     p, cap = params.p, min(support_cap, _MAX_QUBITS)
@@ -254,7 +257,7 @@ def lightcone_expectation(
     """
     memo = {}
     mean_adj = float(graph.constant)
-    for edge, value in graph.couplings.items():
+    for edge, value in zip(graph.couplings, graph.values.tolist()):
         corr = edge_correlation(graph, edge, params, support_cap=support_cap, _memo=memo)
         mean_adj += value * corr
     return EnergySummary(

@@ -16,9 +16,12 @@ every gamma doubled; it gives ~ 0.89 n.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import inf
-from numbers import Real
+
+import numpy as np
+
+from ..core import shown
 
 
 class UnknownParams(ValueError):
@@ -29,18 +32,28 @@ class UnknownParams(ValueError):
 PHASE_SCALE = 0.5
 
 
+def finite_angle(a) -> bool:
+    """An int or float, Python or numpy but not a bool, whose float value is
+    finite: the rule for schedule and native gate angles."""
+    real = type(a) is not bool and isinstance(a, (int, float, np.integer, np.floating))
+    try:
+        return real and math.isfinite(a)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class QaoaParams:
-    """Non-empty angle schedule: ``angles[l] = (gamma, beta)`` for level l+1, finite reals."""
+    """Non-empty angle schedule: ``angles[l] = (gamma, beta)`` for level l+1, finite angles."""
 
     angles: tuple
 
     def __post_init__(self):
         if not (isinstance(self.angles, tuple) and self.angles and all(
-                isinstance(level, tuple) and len(level) == 2 and all(
-                    isinstance(a, Real) and type(a) is not bool and -inf < a < inf for a in level)
+                isinstance(level, tuple) and len(level) == 2 and all(map(finite_angle, level))
                 for level in self.angles)):
-            raise ValueError(f"schedule {self.angles!r} is not (gamma, beta) pairs of finite reals")
+            raise ValueError(f"schedule {shown(self.angles)} is not (gamma, beta) pairs "
+                             "of finite reals")
 
     @property
     def p(self) -> int:

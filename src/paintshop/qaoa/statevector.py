@@ -132,7 +132,7 @@ def _simulate(
     # values, gathered by energy + reach; the shift is made in place, and
     # undone, so the index costs no memory of its own.  take buffers its
     # output unless mode is "clip" (the indices are in range anyway).
-    reach = sum(abs(value) for value in graph.couplings.values())
+    reach = sum(abs(value) for value in graph.values.tolist())
     levels = np.arange(-reach, reach + 1, dtype=np.int64)
     energies += reach
     state = np.empty(1 << n, dtype=np.complex128)

@@ -212,18 +212,29 @@ class TestGateMatrices:
             # math.isfinite raises OverflowError on an int past the float range
             (rz(0, 10**400), r"gate 1 \(rz\): bad 'theta': 1000"),
             (r(0, 0.1, -(10**309)), r"gate 1 \(r\): bad 'phi': -1000"),
+            (rz(0, np.float32("inf")), r"gate 1 \(rz\): bad 'theta': np.float32\(inf\)"),
             # past Python's 4300-digit limit an int has no str: shown by its bit length
             (rz(0, 10**5000), r"gate 1 \(rz\): bad 'theta': <int of 16610 bits>"),
             (NativeGate("rz", (0,), (10**5000, 0.1)),
              r"gate 1 \(rz\): bad 'angles': \(<int of 16610 bits>, 0.1\)"),
         ],
         ids=["r-one-angle", "rz-no-angle", "rz-nan", "rz-int-past-float", "r-int-past-float",
-             "rz-int-past-str", "angles-int-past-str"],
+             "rz-float32-inf", "rz-int-past-str", "angles-int-past-str"],
     )
     def test_directly_built_bad_angles_are_rejected(self, gate, message):
         circ = NativeCircuit(n=2, gates=(rz(0, 0.1), gate))
         with pytest.raises(ValueError, match=message):
             simulate_native(circ)
+
+    @pytest.mark.parametrize("angle", [np.float32(0.5), np.int64(-1)], ids=["float32", "int64"])
+    def test_numpy_angles_pass_as_in_schedules(self, angle):
+        """Gates take the numpy angles a schedule takes."""
+        gates = (rxx(0, 1, angle), r(0, angle, angle), rz(1, angle))
+        as_float = tuple(NativeGate(g.kind, g.qubits, tuple(map(float, g.angles))) for g in gates)
+        got = simulate_native(NativeCircuit(n=2, gates=gates)).amplitudes
+        want = simulate_native(NativeCircuit(n=2, gates=as_float)).amplitudes
+        # a float32 angle's rotation is computed in float32
+        assert np.allclose(got, want, rtol=0, atol=1e-7)
 
 
 class TestWireFormat:

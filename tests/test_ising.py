@@ -2,6 +2,7 @@
 import itertools
 import re
 import tracemalloc
+from collections.abc import ItemsView, ValuesView
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from paintshop import (
     apply_gauge,
     circuit_from_json,
     coloring_to_spins,
+    compile_qaoa,
     coupling_stats,
     expectation,
     graph_from_json,
@@ -23,6 +25,7 @@ from paintshop import (
     instance_rng,
     lightcone_expectation,
     random_instance,
+    simulate_native,
     spins_to_coloring,
     to_ising,
     tree_gauge,
@@ -333,14 +336,34 @@ class TestArrayForm:
     @given(coupling_maps())
     def test_any_valid_mapping_iterates_in_sorted_order(self, case):
         n, mapping = case
-        graph = CouplingGraph(n=n, couplings=mapping, constant=0)
-        assert list(graph.couplings.items()) == sorted(mapping.items())
-        assert all(type(v) is int for v in graph.couplings.values())
-        assert graph.couplings == mapping and len(graph.couplings) == len(mapping)
-        assert all(graph.couplings[key] == value for key, value in mapping.items())
-        assert (0, n) not in graph.couplings and "01" not in graph.couplings
-        again = CouplingGraph.from_arrays(n, graph.pairs, graph.values, 0)
-        assert again.couplings == mapping
+        built = CouplingGraph(n=n, couplings=mapping, constant=0)
+        for graph in (built, CouplingGraph.from_arrays(n, built.pairs, built.values, 0)):
+            view, items, values = graph.couplings, graph.couplings.items(), graph.couplings.values()
+            assert isinstance(items, ItemsView) and isinstance(values, ValuesView)
+            assert list(view) == sorted(mapping) and list(items) == sorted(mapping.items())
+            assert list(values) == [value for _, value in sorted(mapping.items())]
+            assert all(type(v) is int for v in values)
+            assert view == mapping and len(view) == len(mapping)
+            for (i, j), value in mapping.items():
+                assert view[i, j] == view[np.int64(i), np.uint64(j)] == value
+                # equal keys, not integer pairs, and the reversed pair all miss
+                assert (float(i), j) not in view and (bool(i), j) not in view
+                assert (j, i) not in view
+            assert (0, n) not in view and (0.0, 1) not in view and (True, 1) not in view
+            assert "01" not in view
+            with pytest.raises(TypeError):
+                items.mapping[0, 1] = 1
+
+    def test_the_package_reads_the_arrays(self):
+        """The package's own passes over a graph never build the view's dict."""
+        graph = to_ising(random_instance(8, instance_rng(7, 0)))
+        for p in (1, 2):
+            lightcone_expectation(graph, tree_params(p))
+        expectation(graph, tree_params(2))
+        simulate_native(compile_qaoa(graph, tree_params(2)))
+        graph.adjacency_lists()
+        assert len(graph.couplings) == len(list(graph.couplings)) > 0
+        assert "_lookup" not in vars(graph.couplings)
 
     @pytest.mark.parametrize("pairs, values", [
         (np.array([[0.0, 1.0]]), [1]),

@@ -83,10 +83,12 @@ class TestSchedule:
         (), ((0.1,),), ((0.1, 0.2, 0.3),), ((0.1, 0.2), 0.3), [(0.1, 0.2)], ([0.1, 0.2],),
         np.array([[0.1, 0.2]]), ((math.nan, 0.1),), ((0.1, -math.inf),), ((np.float32("nan"), 0.1),),
         ((True, 0.1),), ((0.1, np.True_),), (("0.1", 0.2),), ((1j, 0.2),), ((None, 0.2),),
+        ((10**400, 0.1),), ((0.1, -(10**309)),), ((np.float32("inf"), 0.1),), ((10**5000, 0.1),),
     ])
     def test_malformed_schedule_raises_at_construction(self, angles):
         """Anything but a non-empty tuple of (gamma, beta) pairs of finite reals
-        is refused before any evaluator sees it."""
+        is refused before any evaluator sees it, an int past the float range too,
+        and one past Python's str digit limit is named in the message."""
         with pytest.raises(ValueError, match="is not \\(gamma, beta\\) pairs of finite reals"):
             QaoaParams(angles)
 
