@@ -32,7 +32,8 @@ class TooLarge(ValueError):
     """A size past a ceiling, checked before allocation: 32 cars for brute force,
     2^30 cars for a random word, 30 qubits for the dense and native simulators,
     2^30 shots for sampling and, as ``SupportTooLarge``, 30 qubits for a lightcone support
-    and 2^cap entries held at once by a named traced run's plan.  A caller may cap lower."""
+    and 2^cap entries that one step of a named traced run's plan runs over or its steps
+    hold at once.  A caller may cap lower."""
 
 
 # A random word holds its int64 sequence (16 bytes per car), its stable argsort (16,
@@ -242,7 +243,8 @@ def shown(value) -> str:
     except ValueError:
         if isinstance(value, int):
             return f"<int of {value.bit_length()} bits>"
-        return ("({})" if isinstance(value, tuple) else "[{}]").format(", ".join(map(shown, value)))
+        text = ", ".join(map(shown, value))
+        return f"({text}{',' * (len(value) == 1)})" if isinstance(value, tuple) else f"[{text}]"
 
 
 def json_fields(obj, **types) -> tuple:

@@ -155,10 +155,11 @@ def simulate_native(circuit: NativeCircuit, *, cap_qubits: int = 22) -> Statevec
     state[0] = 1.0
     scratch = np.empty_like(state)
     for gate in circuit.gates:
+        angle, *phase = map(float, gate.angles)  # a numpy float32 angle runs in double
         if gate.kind == "rz":
-            _phase_z(state, gate.angles[0] / 2, gate.qubits[0])
+            _phase_z(state, angle / 2, gate.qubits[0])
         else:  # an R gate's second angle is its axis phase
-            _rotate_x(state, gate.angles[0] / 2, gate.qubits, scratch, *gate.angles[1:])
+            _rotate_x(state, angle / 2, gate.qubits, scratch, *phase)
     return Statevector(qubit_ids=tuple(range(n)), amplitudes=state)
 
 

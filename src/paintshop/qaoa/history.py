@@ -22,7 +22,9 @@ Any lightcone is also an ``Elimination``.  A qubit at distance d from the
 coupling meets no mixer after level p - d, so with beta = 0 there its f
 vanishes off the 2^{2(p-d)+1} histories whose bits p-d..p+d agree: 2 on the
 boundary, 8 at d = 1 when p = 2.  i and j sum out their measured bit with Z
-folded in, keeping 2^{2p}.
+folded in, keeping 2^{2p}.  Each step sums one qubit out of the factors that
+hold it by one ``np.einsum``, which runs over their product without building
+it, so the elimination holds only the factors steps make.
 """
 from __future__ import annotations
 
@@ -147,14 +149,14 @@ class Elimination:
     """<Z_i Z_j>: the sum over the histories each qubit of ``dist`` keeps of their
     weights times h_J(x_u ^ x_v) for each acting coupling (u, v, J), u off the
     boundary.  Qubits are summed out one at a time (Markov and Shi,
-    arXiv:quant-ph/0511069), the smallest product of history counts first: a leaf
-    by a matrix-vector product, any other by a broadcast product.  Planned first:
-    the order, ``largest`` product and ``entries``, the most held at once (a
-    step's product and the factors it and earlier steps made)."""
+    arXiv:quant-ph/0511069), the smallest product of history counts first, each
+    by one ``np.einsum`` over the factors that hold it.  Planned first: the order,
+    ``largest``, the biggest step's product (its work), and ``entries``, the most
+    held at once (the factors steps made and have not yet consumed)."""
 
     def __init__(self, tables: Tables, dist: dict, couplings):
         self.tables, self.dist = tables, dist
-        size = self.size = {q: len(tables.states[d]) for q, d in dist.items()}
+        size = {q: len(tables.states[d]) for q, d in dist.items()}
         near = {q: set() for q in dist}
         for u, v, _ in couplings:
             near[u].add(v)
@@ -163,7 +165,7 @@ class Elimination:
         for q in ends:  # a boundary qubit with one neighbour goes first in any such order
             near[near.pop(q).pop()].discard(q)
         self.leaves = [(u, J) for u, v, J in couplings if v in ends]
-        self.couplings = [(min(u, v), max(u, v), J) for u, v, J in couplings if v not in ends]
+        self.couplings = [(u, v, J) for u, v, J in couplings if v not in ends]
 
         def product(q):
             return size[q] * math.prod([size[u] for u in near[q]])
@@ -176,34 +178,23 @@ class Elimination:
             others = near.pop(v)
             made.append((others, product_v // size[v]))
             self.largest = max(self.largest, product_v)
-            self.entries = max(self.entries, product_v + sum(e for _, e in made))
+            self.entries = max(self.entries, sum(e for _, e in made))
             made = [f for f in made if v not in f[0]]
             for u in others:
                 near[u] = (near[u] | others) - {u, v}
 
     def value(self) -> float:
-        tables, dist, size = self.tables, self.dist, self.size
+        tables, dist = self.tables, self.dist
+        label = {q: t for t, q in enumerate(dist)}  # at most 30 of einsum's 52 labels
         factors = [((q,), tables.weights[dist[q]]) for q in self.order]
         factors += [((u,), tables.factor(J, dist[u])) for u, J in self.leaves]
         factors += [((u, v), tables.factor(J, dist[u], dist[v])) for u, v, J in self.couplings]
-        for v in self.order:  # every factor's axes in ascending qubit order
+        for v in self.order:
             held = [f for f in factors if v in f[0]]
             factors = [f for f in factors if v not in f[0]]
-            weight = math.prod([a for scope, a in held if len(scope) == 1])
-            pairs = [f for f in held if len(f[0]) > 1]
-            others = sorted({q for scope, _ in pairs for q in scope} - {v})
-            if len(pairs) == 1 == len(others):  # a leaf
-                ((scope, a),) = pairs
-                out = weight @ a if scope[0] == v else a @ weight
-            else:  # filled in place, so numpy buffers one factor at a time
-                union = sorted([v, *others])
-                out = np.empty([size[q] for q in union], complex)
-                out[...] = weight.reshape([-1 if q == v else 1 for q in union])
-                for scope, a in pairs:
-                    np.multiply(out, a.reshape([size[q] if q in scope else 1 for q in union]),
-                                out=out)
-                out = out.sum(axis=union.index(v))
-            factors.append((tuple(others), out))
+            others = sorted({q for scope, _ in held for q in scope} - {v})
+            operands = [x for scope, a in held for x in (a, [label[q] for q in scope])]
+            factors.append((others, np.einsum(*operands, [label[q] for q in others])))
         return float(math.prod([a for _, a in factors]).real)
 
 

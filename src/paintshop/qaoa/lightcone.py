@@ -17,10 +17,10 @@ its boundary.
 Two exact engines sit behind the contract: ``statevector``, the dense
 simulator run on the support relabelled to 0..k-1, is the oracle;
 ``traced`` is ``history.Elimination`` of the whole lightcone, planned before
-any array is built, and raises ``SupportTooLarge`` if its plan holds more
-than 2^cap entries.  The automatic choice eliminates when the plan's largest
-product has at most 2^|support| entries, as many as the dense state, and
-runs the dense engine otherwise.
+any array is built, and raises ``SupportTooLarge`` if one of its steps runs
+over, or its steps hold at once, more than 2^cap entries.  The automatic
+choice bounds both by 2^|support|, the dense state's amplitudes, and runs the
+dense engine past it.
 
 With a memo, as ``lightcone_expectation`` calls it, a coupling reads a
 whole-graph table of <Z_i Z_j> keyed by (i, j), i < j.  At p=1 the first call
@@ -201,10 +201,11 @@ def edge_correlation(
         if key in _memo:
             return sign * _memo[key]
     plan = history.Elimination(history.tables_of(params), dist, acting)
-    if plan.entries <= 2**cap if engine == "traced" else plan.largest <= 2**size:
+    most = max(plan.largest, plan.entries)  # what a step runs over, or the steps hold
+    if most <= 2 ** (cap if engine == "traced" else size):
         corr = plan.value()
     elif engine == "traced":
-        raise SupportTooLarge(f"traced {edge} plans {plan.entries} entries, cap is 2^{cap}")
+        raise SupportTooLarge(f"traced {edge} plans {most} entries, cap is 2^{cap}")
     else:
         corr = _corr_statevector(adjacency, edge, dist, params)
     if coupling is not None:

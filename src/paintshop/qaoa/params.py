@@ -44,7 +44,8 @@ def finite_angle(a) -> bool:
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """Non-empty angle schedule: ``angles[l] = (gamma, beta)`` for level l+1, finite angles."""
+    """Non-empty angle schedule: ``angles[l] = (gamma, beta)`` for level l+1, finite
+    angles, each kept as a Python float so that every engine runs in double precision."""
 
     angles: tuple
 
@@ -54,6 +55,7 @@ class QaoaParams:
                 for level in self.angles)):
             raise ValueError(f"schedule {shown(self.angles)} is not (gamma, beta) pairs "
                              "of finite reals")
+        object.__setattr__(self, "angles", tuple(tuple(map(float, level)) for level in self.angles))
 
     @property
     def p(self) -> int:

@@ -228,13 +228,13 @@ class TestGateMatrices:
 
     @pytest.mark.parametrize("angle", [np.float32(0.5), np.int64(-1)], ids=["float32", "int64"])
     def test_numpy_angles_pass_as_in_schedules(self, angle):
-        """Gates take the numpy angles a schedule takes."""
+        """Gates take the numpy angles a schedule takes, and run them in double
+        precision, as the same angles as Python floats."""
         gates = (rxx(0, 1, angle), r(0, angle, angle), rz(1, angle))
         as_float = tuple(NativeGate(g.kind, g.qubits, tuple(map(float, g.angles))) for g in gates)
         got = simulate_native(NativeCircuit(n=2, gates=gates)).amplitudes
         want = simulate_native(NativeCircuit(n=2, gates=as_float)).amplitudes
-        # a float32 angle's rotation is computed in float32
-        assert np.allclose(got, want, rtol=0, atol=1e-7)
+        assert np.array_equal(got, want)
 
 
 class TestWireFormat:

@@ -190,16 +190,16 @@ class TestPlan:
     @pytest.mark.parametrize("p", [2, 3])
     def test_automatic_choice_follows_the_plan(self, monkeypatch, p):
         """On four n=16 words (seed 77) the automatic engine eliminates exactly
-        where the plan's largest product has at most 2^|support| entries, as
-        many as the dense state, and runs the dense engine elsewhere.  The
-        engines are stubbed."""
+        where no step of the plan runs over, and its steps hold at once, more
+        than 2^|support| entries, as many as the dense state, and runs the
+        dense engine elsewhere.  The engines are stubbed."""
         params = tree_params(p)
         runs, expected = count_engine_runs(monkeypatch, stub=0.0), []
         for k in range(4):
             g = to_ising(random_instance(16, instance_rng(77, k)))
             for edge in sorted(g.couplings):
                 plan, dist = whole_plan(g, edge, params)
-                fits = plan.largest <= 2 ** len(dist)
+                fits = max(plan.largest, plan.entries) <= 2 ** len(dist)
                 expected.append("elimination" if fits else "statevector")
                 edge_correlation(g, edge, params)
         assert runs == expected
@@ -208,21 +208,22 @@ class TestPlan:
 
     def test_named_run_past_the_cap_raises_before_allocating(self, monkeypatch):
         """K5 at p=2: i and j keep 16 histories each and the three others 8, all
-        coupled, so the first qubit summed out multiplies 16^2 * 8^3 = 2^17
-        entries.  The 5-qubit support fits a cap of 5; the plan does not fit
-        2^5, so the named engine raises before it builds an array: no run, and
-        a peak far below the 2 MiB of that one product."""
+        coupled, so the first qubit summed out runs over a product of
+        16^2 * 8^3 = 2^17 entries, and the factor it makes holds 2^13.  The
+        5-qubit support fits a cap of 5; the plan's work does not fit 2^5, so
+        the named engine raises before it builds an array: no run, and a peak
+        far below the 128 KiB of that one factor."""
         k5 = CouplingGraph(n=5, couplings={
             (a, b): (1, -1, 2)[(a + b) % 3] for a in range(5) for b in range(a + 1, 5)
         }, constant=0)
         params = tree_params(2)
         plan, _ = whole_plan(k5, (0, 1), params)
-        assert plan.largest >= 2**17 and plan.entries > plan.largest
+        assert plan.largest == 2**17 and 2**13 <= plan.entries < plan.largest
         runs = count_engine_runs(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(SupportTooLarge, match=rf"^traced \(0, 1\) plans "
-                                                      rf"{plan.entries} entries, cap is 2\^5$"):
+                                                      rf"{plan.largest} entries, cap is 2\^5$"):
                 edge_correlation(k5, (0, 1), params, engine="traced", support_cap=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -233,32 +234,59 @@ class TestPlan:
             edge_correlation(k5, (0, 1), params, engine="statevector"), abs=1e-12)
 
     @pytest.mark.parametrize("n, seed", [(300, 102), (16, 103)], ids=["table1-p2", "fig2"])
-    def test_elimination_holds_at_most_its_plan(self, n, seed):
+    def test_elimination_holds_at_most_its_plan(self, monkeypatch, n, seed):
         """Word 0 of table1-p2 and of fig2, p=2, every loopy lightcone the
-        automatic engine eliminates.  The plan's entries count each step's
-        product, the factor it makes and those earlier steps left (16 bytes an
-        entry); the
-        step's one broadcast factor is buffered by numpy in at most
-        np.getbufsize() = 8192 entries, 128 KiB.  The rest is small: a qubit's
-        weights times its other vectors (at most 16 entries each), the
-        per-step scope lists and Python objects, under 16 KiB.  The coupling
-        factors are cached per schedule, so a first run fills the cache."""
+        automatic engine eliminates.  The plan's entries count the factors
+        steps made and have not yet consumed (16 bytes an entry); a step's one
+        np.einsum buffers each of its operands in at most np.getbufsize() =
+        8192 entries, 128 KiB, and its product is never built.  The rest is
+        small: the per-step scope and label lists and Python objects, under
+        16 KiB.  The coupling factors are cached per schedule, so a first run,
+        which also counts the most operands a step takes, fills the cache."""
         graph = to_ising(random_instance(n, instance_rng(seed, 0)))
         params, adjacency, ran = tree_params(2), graph.adjacency_lists(), 0
+        einsum, operands = np.einsum, []
         for edge in sorted(graph.couplings):
             plan, dist = whole_plan(graph, edge, params)
-            if is_tree(adjacency, dist, 2) or plan.largest > 2 ** len(dist):
+            if is_tree(adjacency, dist, 2) or max(plan.largest, plan.entries) > 2 ** len(dist):
                 continue
+            operands.clear()
+            monkeypatch.setattr(np, "einsum", lambda *args: operands.append(len(args) // 2)
+                                or einsum(*args))
             plan.value()
+            monkeypatch.undo()
             tracemalloc.start()
             try:
                 plan.value()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 16 * plan.entries + np.getbufsize() * 16 + 16 * 1024
+            buffers = np.getbufsize() * max(operands)
+            assert peak <= 16 * (plan.entries + buffers) + 16 * 1024
             ran += 1
         assert ran >= 10
+
+    def test_elimination_never_builds_a_step_product(self):
+        """Three n=20 words (seed 77) at p=3, every plan whose biggest step
+        runs over 2^20 to 2^22 entries: the elimination's peak stays under a
+        quarter of that product at 16 bytes an entry, all of which a step that
+        built its product would hold."""
+        params, ran = tree_params(3), 0
+        for k in range(3):
+            graph = to_ising(random_instance(20, instance_rng(77, k)))
+            for edge in sorted(graph.couplings):
+                plan, _ = whole_plan(graph, edge, params)
+                if not 2**20 <= plan.largest <= 2**22:
+                    continue
+                tracemalloc.start()
+                try:
+                    plan.value()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 16 * plan.largest / 4
+                ran += 1
+        assert ran == 8
 
 
 class TestEngines:
@@ -338,7 +366,8 @@ class TestEngines:
                 corr = edge_correlation(g, (a, b), params, engine="traced",
                                         support_cap=SMALL_CAP)
             except SupportTooLarge:
-                assert whole_plan(g, (a, b), params)[0].entries > 2**SMALL_CAP
+                plan = whole_plan(g, (a, b), params)[0]
+                assert max(plan.largest, plan.entries) > 2**SMALL_CAP
                 with pytest.raises(SupportTooLarge):
                     edge_correlation(moved, image, params, engine="traced",
                                      support_cap=SMALL_CAP, _adjacency=reversed_adjacency)
@@ -378,7 +407,8 @@ class TestAgainstFullStatevector:
                         corr = edge_correlation(g, edge, params, engine="traced",
                                                 support_cap=SMALL_CAP)
                     except SupportTooLarge:  # raised by the plan, before any array
-                        assert whole_plan(g, edge, params)[0].entries > 2**SMALL_CAP
+                        plan = whole_plan(g, edge, params)[0]
+                        assert max(plan.largest, plan.entries) > 2**SMALL_CAP
                         continue
                     assert corr == pytest.approx(expected, abs=1e-12)
 
@@ -405,7 +435,8 @@ class TestAgainstFullStatevector:
             try:
                 corr = edge_correlation(g, edge, params, engine="traced", support_cap=SMALL_CAP)
             except SupportTooLarge:  # raised by the plan, before any array
-                assert whole_plan(g, edge, params)[0].entries > 2**SMALL_CAP
+                plan = whole_plan(g, edge, params)[0]
+                assert max(plan.largest, plan.entries) > 2**SMALL_CAP
                 continue
             assert corr == pytest.approx(full[edge], abs=1e-12)
 
@@ -745,12 +776,13 @@ TABLE1_P1_ROWS = (
 )
 #: float.hex of ``mean_energy_adj`` in the 10 rows of ``run_table1(2)`` at
 #: default flags, recorded before both whole-graph passes returned one table
-#: type.
+#: type; rows 3, 4, 5, 6 and 9 re-recorded when each elimination step became one
+#: einsum, which moved each by one ulp (2.8e-14 or 5.7e-14).
 TABLE1_P2_ROWS = (
     "-0x1.02705691ef284p+8", "-0x1.021a6e65f075bp+8", "-0x1.02509d4c10b2ep+8",
-    "-0x1.00c68ee19f9c5p+8", "-0x1.019a053539d52p+8", "-0x1.ffde2394e0253p+7",
-    "-0x1.0388da9b8b736p+8", "-0x1.0226424bf5bafp+8", "-0x1.ff4bab21bc505p+7",
-    "-0x1.fe76fc0b08d82p+7",
+    "-0x1.00c68ee19f9c4p+8", "-0x1.019a053539d51p+8", "-0x1.ffde2394e0252p+7",
+    "-0x1.0388da9b8b735p+8", "-0x1.0226424bf5bafp+8", "-0x1.ff4bab21bc505p+7",
+    "-0x1.fe76fc0b08d81p+7",
 )
 TABLE1_P1_WORD0 = "3979c84589c0ff1b7151c1cd73b107692fd07aa1ac06a0f6712bcbd3bf5eafd7"
 

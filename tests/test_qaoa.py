@@ -23,8 +23,10 @@ from paintshop import (
     color_change_vector,
     delta_c_metric,
     easy_instance,
+    edge_correlation,
     expectation,
     instance_rng,
+    lightcone_expectation,
     p_alpha,
     random_guess_expectation,
     random_instance,
@@ -35,7 +37,8 @@ from paintshop import (
     validate,
     z_expectations,
 )
-from paintshop.qaoa import Statevector, pair_energy_vector, statevector
+from paintshop.core import shown
+from paintshop.qaoa import Statevector, history, pair_energy_vector, statevector
 from paintshop.qaoa.params import PHASE_SCALE
 
 # independently recomputed dense references (see module docstring)
@@ -93,8 +96,54 @@ class TestSchedule:
             QaoaParams(angles)
 
     def test_numpy_and_integer_angles_construct(self):
+        """Each is stored as a Python float, so every engine runs in double precision."""
         angles = ((np.float32(0.5), np.int64(-1)), (1, np.float64(0.25)))
-        assert QaoaParams(angles).angles == angles
+        stored = QaoaParams(angles).angles
+        assert stored == angles and {type(a) for level in stored for a in level} == {float}
+
+    def test_a_one_level_schedule_past_str_keeps_its_comma(self):
+        message = r"^schedule \(\(<int of 16610 bits>, 0\.1\),\) is not"
+        with pytest.raises(ValueError, match=message):
+            QaoaParams(((10**5000, 0.1),))
+        assert shown((10**5000,)) == "(<int of 16610 bits>,)"
+        assert shown(((10**5000, 0.1), [])) == "((<int of 16610 bits>, 0.1), [])"
+
+
+#: Word 10 of seed 52, six qubits.
+SIX_QUBITS = to_ising(random_instance(6, instance_rng(52, 10)))
+
+
+def float32_schedules(p):
+    """The fixed schedule rounded to numpy float32, and its Python-float twin."""
+    single = tuple((np.float32(gamma), np.float32(beta)) for gamma, beta in tree_params(p).angles)
+    return QaoaParams(single), QaoaParams(tuple((float(g), float(b)) for g, b in single))
+
+
+class TestDoublePrecision:
+    """A float32 schedule runs in double precision, bit for bit as its
+    Python-float twin."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_dense_state(self, p):
+        single, double = float32_schedules(p)
+        assert np.array_equal(simulate_state(SIX_QUBITS, single).amplitudes,
+                              simulate_state(SIX_QUBITS, double).amplitudes)
+
+    def test_lightcone_sum(self):
+        single, double = float32_schedules(2)
+        assert (lightcone_expectation(SIX_QUBITS, single)
+                == lightcone_expectation(SIX_QUBITS, double))
+
+    def test_cached_tables_serve_either_twin(self):
+        """``history.tables_of`` caches by schedule, and a float32 schedule equals
+        its twin: a float32 call first must leave the twin's values as they are."""
+        single, double = float32_schedules(2)
+        edges = sorted(SIX_QUBITS.couplings)
+        history.tables_of.cache_clear()
+        alone = [edge_correlation(SIX_QUBITS, e, double, engine="traced") for e in edges]
+        history.tables_of.cache_clear()
+        edge_correlation(SIX_QUBITS, edges[0], single, engine="traced")
+        assert [edge_correlation(SIX_QUBITS, e, double, engine="traced") for e in edges] == alone
 
 
 class TestFrozenReferences:
