@@ -82,11 +82,12 @@ class Tables:
     def factor(self, J: int, du: int, dv: int | None = None) -> np.ndarray:
         """h_J(x_u ^ x_v) over the histories kept at distances du and dv; with no
         dv, summed over a boundary qubit's two histories with their weights."""
-        if (J, du, dv) not in self._factors:
+        key = J, du, dv
+        if key not in self._factors:
             pairs = self.states[du][:, None] ^ self.states[self.p if dv is None else dv]
             h = np.exp(-1j * J * self.theta[pairs])
-            self._factors[J, du, dv] = h if dv is not None else h @ self.weights[self.p]
-        return self._factors[J, du, dv]
+            self._factors[key] = h if dv is not None else np.einsum("ij,j->i", h, self.weights[-1])
+        return self._factors[key]
 
 
 @functools.lru_cache(maxsize=16)

@@ -28,8 +28,8 @@ from .params import PHASE_SCALE, QaoaParams
 # Whatever the cap.  Per amplitude the dense simulator holds the complex128
 # state, a scratch buffer half as large (only half the state is evolved) and
 # the int64 energies: 16 + 8 + 8 = 32 bytes.  expectation's readout then holds
-# the state, the energies, the float64 probabilities and matmul's float64 cast
-# of the energies: 16 + 8 + 8 + 8 = 40 bytes, so 40 GiB at 30 qubits.
+# the state, the energies and the float64 probabilities: 16 + 8 + 8 = 32 bytes,
+# so 32 GiB at 30 qubits.
 # simulate_native holds 16 GiB of amplitudes and a scratch buffer as large.
 _MAX_QUBITS = 30
 
@@ -181,7 +181,7 @@ def expectation(
     """Exact circuit expectations of the adjacency energy and the cost."""
     state, energies = _simulate(graph, params, cap_qubits)
     probs = np.abs(state) ** 2
-    mean_adj = graph.constant + float(probs @ energies)
+    mean_adj = graph.constant + float(np.einsum("i,i", probs, energies))
     return EnergySummary(
         mean_adjacency_energy=mean_adj,
         mean_color_changes=(mean_adj + 2 * graph.n - 1) / 2,

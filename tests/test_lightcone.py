@@ -323,8 +323,8 @@ class TestEngines:
 
     def test_statevector_engine_stays_within_its_footprint(self):
         # Per amplitude: the complex128 state, a scratch buffer for half of it
-        # and the int64 energies while simulating (16 + 8 + 8); then the state,
-        # float64 probabilities and float64 spins (16 + 8 + 8).  256 KiB covers
+        # and the int64 energies while simulating (16 + 8 + 8); then the state
+        # and float64 probabilities, summed by quarters (16 + 8).  256 KiB covers
         # numpy's 8192-element iteration buffer, the O(m) phase tables and
         # Python objects.
         k = 16

@@ -5,7 +5,11 @@ algebra (explicit Kronecker products, no package code); the circuit under
 test must reproduce them.
 """
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import paintshop
 from paintshop import (
     CouplingGraph,
     DegenerateBaseline,
@@ -38,6 +43,7 @@ from paintshop import (
     z_expectations,
 )
 from paintshop.core import shown
+from paintshop.experiments import run_fig2
 from paintshop.qaoa import Statevector, history, pair_energy_vector, statevector
 from paintshop.qaoa.params import PHASE_SCALE
 
@@ -372,12 +378,12 @@ class TestDenseKernels:
             assert np.abs(got - exact).max() <= 1e-15
 
     def test_expectation_stays_within_its_stated_footprint(self):
-        # Per amplitude: the complex128 state and its scratch buffer (16 + 16)
-        # and the int64 energies (8); the readout holds the state, the
-        # energies, float64 probabilities and the float64 cast of the energies
-        # (16 + 8 + 8 + 8).  Both are 40 bytes.  256 KiB covers numpy's
-        # 8192-element iteration buffer, the O(m) phase tables and Python
-        # objects.
+        # Per amplitude: the complex128 state, its half-sized scratch buffer
+        # and the int64 energies while simulating (16 + 8 + 8); the readout
+        # holds the state, the energies and float64 probabilities (16 + 8 + 8),
+        # and einsum casts the energies to float64 a buffer at a time.  Both
+        # are 32 bytes.  256 KiB covers numpy's 8192-element iteration
+        # buffers, the O(m) phase tables and Python objects.
         n = 18
         g = to_ising(random_instance(n, instance_rng(66, 0)))
         tracemalloc.start()
@@ -386,7 +392,7 @@ class TestDenseKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**n + 256 * 1024
+        assert peak <= 32 * 2**n + 256 * 1024
 
     def test_simulate_state_stays_within_its_stated_footprint(self):
         # Per amplitude: the complex128 state (16), the int64 energies (8) and
@@ -473,3 +479,65 @@ class TestDeltaC:
     def test_degenerate_baseline(self):
         with pytest.raises(DegenerateBaseline):
             delta_c_metric(1.0, 2.0, 2.0)
+
+
+#: float.hex of the qaoa_p1..qaoa_p5 values of ``run_fig2(count=10)``, row by
+#: row, recorded once the dense readouts summed without BLAS.
+FIG2_ROWS = (
+    "0x1.5686f77b416cep+3", "0x1.1e41f47bb721ep+3", "0x1.f9c09d58e0796p+2",
+    "0x1.d13ae98216ff0p+2", "0x1.b12d534be4618p+2", "0x1.7bd8f4b1dcbc0p+3",
+    "0x1.3eb87f676d8acp+3", "0x1.1c3b4a9f31c19p+3", "0x1.085f63cf5aaeap+3",
+    "0x1.f69c42a0752f0p+2", "0x1.513476a3dd9aap+3", "0x1.153950db9024bp+3",
+    "0x1.df764bc7fdb7cp+2", "0x1.b31bcb562b9fcp+2", "0x1.926471e93f0d6p+2",
+    "0x1.7728c57b0cc84p+3", "0x1.440c167faea6bp+3", "0x1.2838bafdc5d69p+3",
+    "0x1.1af2685fc0ec5p+3", "0x1.133208684a65cp+3", "0x1.7d9d8a4acfae2p+3",
+    "0x1.4bd552593155cp+3", "0x1.2b249076dd23cp+3", "0x1.19a832c9db712p+3",
+    "0x1.0f8e603267cadp+3", "0x1.5478833979fbep+3", "0x1.245636664143cp+3",
+    "0x1.0df8e3864b021p+3", "0x1.03f7615572359p+3", "0x1.fd7a1f41b77acp+2",
+    "0x1.4e28dc260d2fcp+3", "0x1.0ac99f663f8a6p+3", "0x1.d190f7617458cp+2",
+    "0x1.af86233fdcd7ap+2", "0x1.99a09cd360178p+2", "0x1.5f9fc865abf00p+3",
+    "0x1.2bfddc3fa10b4p+3", "0x1.0e9af1a997808p+3", "0x1.f9c84ae2b2622p+2",
+    "0x1.e3f19657e38c2p+2", "0x1.4a44845878d65p+3", "0x1.0dd50010aeb45p+3",
+    "0x1.df797eaaa73a8p+2", "0x1.c0c369e0f58b4p+2", "0x1.ae9c5cef135f8p+2",
+    "0x1.728fd9bf27aecp+3", "0x1.4a4b3b10166b0p+3", "0x1.2d26e32115b03p+3",
+    "0x1.17c669c8ac5b4p+3", "0x1.0989c348fb2c4p+3",
+)
+
+#: Prints, as float.hex, run_fig2(count=3)'s values, then for each of three
+#: seed-103 n=16 words the statevector engine's <Z_i Z_j> of every coupling at
+#: p=2 and lightcone_expectation's sums at p=1 and p=2.
+THREAD_PROBE = """
+from paintshop import (edge_correlation, instance_rng, lightcone_expectation,
+                       random_instance, to_ising, tree_params)
+from paintshop.experiments import run_fig2
+rows, _ = run_fig2(count=3)
+values = [row[f"qaoa_p{p}"] for row in rows for p in range(1, 6)]
+for k in range(3):
+    graph = to_ising(random_instance(16, instance_rng(103, k)))
+    values += [edge_correlation(graph, edge, tree_params(2), engine="statevector")
+               for edge in sorted(graph.couplings)]
+    values += [lightcone_expectation(graph, tree_params(p)).mean_adjacency_energy
+               for p in (1, 2)]
+print(" ".join(map(float.hex, values)))
+"""
+
+
+class TestOutputBytes:
+    def test_fig2_rows_keep_their_bytes(self):
+        rows, _ = run_fig2(count=10)
+        values = tuple(float.hex(row[f"qaoa_p{p}"]) for row in rows for p in range(1, 6))
+        assert values == FIG2_ROWS
+
+    def test_dense_and_lightcone_values_ignore_the_blas_thread_count(self):
+        """A BLAS product splits its sum across threads, so its last bits
+        follow OPENBLAS_NUM_THREADS; no output may go through one."""
+        src = Path(paintshop.__file__).resolve().parents[1]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert len(outputs[0]) > 3 * 5 + 3 * 2  # fig2's values and the sums, then couplings'
+        assert outputs[0] == outputs[1]
