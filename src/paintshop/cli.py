@@ -107,7 +107,6 @@ _EXPERIMENT_FLAGS = {
     "--seed": ("seed", _at_least(0)),
     "--p": ("p", int),
     "--alpha": ("alpha", _at_least(1, float)),
-    "--cap-qubits": ("support_cap", _at_least(1)),
 }
 
 
@@ -127,47 +126,42 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    instances = read_jsonl(args.infile)
-    fields = ["instance_id", "n", "algo", "color_changes", "wall_time_ms"]
+def _per_word(args, fields: list, evaluate) -> int:
+    """Write ``args.infile``'s words to ``args.outfile`` as CSV rows: index, n, the
+    ``fields`` that ``evaluate(index, word)`` returns, and that call's wall time."""
+    header = ["instance_id", "n", *fields, "wall_time_ms"]
     rows = []
-    for idx, inst in enumerate(instances):
+    for idx, inst in enumerate(read_jsonl(args.infile)):
         start = time.perf_counter()
-        dc = solve_instance(inst, args.algo, cap_qubits=args.cap_qubits)
+        values = evaluate(idx, inst)
         elapsed = round((time.perf_counter() - start) * 1000, 3)
-        rows.append(dict(zip(fields, (idx, inst.n, args.algo, dc, elapsed))))
-    _write_csv(Path(args.outfile), fields, rows)
+        rows.append(dict(zip(header, (idx, inst.n, *values, elapsed))))
+    _write_csv(Path(args.outfile), header, rows)
     return 0
 
 
+def _cmd_solve(args) -> int:
+    return _per_word(args, ["algo", "color_changes"], lambda idx, inst: (
+        args.algo, solve_instance(inst, args.algo, cap_qubits=args.cap_qubits)))
+
+
 def _cmd_qaoa(args) -> int:
-    instances = read_jsonl(args.infile)
     params = tree_params(args.p)
-    fields = ["instance_id", "n", "p", "method", "mean_energy_adj",
-              "mean_color_changes", "wall_time_ms"]
-    rows = []
-    for idx, inst in enumerate(instances):
+
+    def evaluate(idx, inst):
         graph = to_ising(inst)
-        start = time.perf_counter()
         if args.shots:
             state = simulate_state(graph, params, **_given(cap_qubits=args.cap_qubits))
             indices = _sample_indices(state, args.shots, instance_rng(args.seed, idx))
             mean_dc = float(color_change_vector(inst)[indices].mean())
-            mean_adj = 2 * mean_dc - (2 * inst.n - 1)
+            return args.p, args.method, 2 * mean_dc - (2 * inst.n - 1), mean_dc
+        if args.method == "lightcone":
+            summary = lightcone_expectation(graph, params, **_given(support_cap=args.cap_qubits))
         else:
-            if args.method == "lightcone":
-                summary = lightcone_expectation(
-                    graph, params, **_given(support_cap=args.cap_qubits)
-                )
-            else:
-                summary = expectation(graph, params, **_given(cap_qubits=args.cap_qubits))
-            mean_adj = summary.mean_adjacency_energy
-            mean_dc = summary.mean_color_changes
-        elapsed = round((time.perf_counter() - start) * 1000, 3)
-        values = (idx, inst.n, args.p, args.method, mean_adj, mean_dc, elapsed)
-        rows.append(dict(zip(fields, values)))
-    _write_csv(Path(args.outfile), fields, rows)
-    return 0
+            summary = expectation(graph, params, **_given(cap_qubits=args.cap_qubits))
+        return args.p, args.method, summary.mean_adjacency_energy, summary.mean_color_changes
+
+    return _per_word(args, ["p", "method", "mean_energy_adj", "mean_color_changes"], evaluate)
 
 
 def _cmd_experiment(args) -> int:
@@ -204,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=_at_least(1), default=1)
     gen.add_argument("--seed", type=_at_least(0), default=0)
     gen.add_argument("--out", dest="outfile", required=True)
+    gen.set_defaults(run=_cmd_gen)
 
     solve = sub.add_parser("solve", help="run a classical solver over instances")
     solve.add_argument("--algo", choices=ALGOS, required=True)
@@ -211,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", dest="outfile", required=True)
     solve.add_argument("--cap-qubits", type=_at_least(1),
                        help="enumeration cap for brute-force (default: the oracle's)")
+    solve.set_defaults(run=_cmd_solve)
 
     qaoa = sub.add_parser("qaoa", help="circuit expectations over instances")
     qaoa.add_argument("--p", type=int, required=True)
@@ -224,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     qaoa.add_argument("--out", dest="outfile", required=True)
     qaoa.add_argument("--cap-qubits", type=_at_least(1),
                       help="qubit cap (default: the chosen method's)")
+    qaoa.set_defaults(run=_cmd_qaoa)
 
     experiment = sub.add_parser("experiment", help="named benchmark scenario")
     experiment.add_argument("name", choices=experiments.EXPERIMENTS)
@@ -232,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, (keyword, kind) in _EXPERIMENT_FLAGS.items():
         experiment.add_argument(flag, dest=keyword, type=kind, metavar=flag[2:].upper(),
                                 default=argparse.SUPPRESS)
+    experiment.set_defaults(run=_cmd_experiment)
     return parser
 
 
@@ -240,14 +238,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "qaoa" and args.method == "lightcone" and args.shots:
         parser.error("--shots requires --method statevector")
-    handlers = {
-        "gen": _cmd_gen,
-        "solve": _cmd_solve,
-        "qaoa": _cmd_qaoa,
-        "experiment": _cmd_experiment,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

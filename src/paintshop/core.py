@@ -36,6 +36,9 @@ class TooLarge(ValueError):
     hold at once.  A caller may cap lower."""
 
 
+#: Python's and numpy's integer types; ``bool`` is not one, nor is any subclass.
+_INTS = frozenset({int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])})
+
 # A random word holds its int64 sequence (16 bytes per car), its stable argsort (16,
 # plus the sort's scratch) and its int8 occurrence marks (2): 35 GiB at 2^30 cars.
 _MAX_CARS = 1 << 30
@@ -98,7 +101,7 @@ def validate(sequence: Sequence[int]) -> BpspInstance:
     if seq.ndim != 1 or seq.size == 0:
         raise WrongMultiplicity("sequence must be a non-empty flat list of cars")
     for car in seq:
-        if isinstance(car, bool) or not isinstance(car, (int, np.integer)):
+        if type(car) not in _INTS:
             raise BadIdentifier(f"car identifiers must be integers, got {car!r}")
     try:
         seq = seq.astype(np.int64)

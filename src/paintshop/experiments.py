@@ -27,7 +27,6 @@ from .qaoa import (
     simulate_state,
     tree_params,
 )
-from .qaoa.lightcone import SUPPORT_CAP
 
 #: Master seeds of table1 by depth, and of the two experiments whose words
 #: perfbench replays; every other experiment's seed default is in its signature.
@@ -49,8 +48,6 @@ def run_table1(
     n: int | None = None,
     count: int | None = None,
     seed: int | None = None,
-    *,
-    support_cap: int = SUPPORT_CAP,
 ) -> tuple[list, dict]:
     """Mean cost per car of the fixed schedule at depth p, via lightcones."""
     name = f"table1-p{p}"
@@ -64,7 +61,7 @@ def run_table1(
     rows = []
     total = 0.0
     for idx, inst in _instances(n, count, seed):
-        summary = lightcone_expectation(to_ising(inst), params, support_cap=support_cap)
+        summary = lightcone_expectation(to_ising(inst), params)
         total += summary.mean_color_changes / n
         rows.append(
             {

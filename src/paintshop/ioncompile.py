@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TooLarge, json_fields, shown
+from .core import _INTS, TooLarge, json_fields, shown
 from .ising import CouplingGraph
 from .qaoa.params import PHASE_SCALE, QaoaParams, finite_angle
 from .qaoa.statevector import _MAX_QUBITS, Statevector, _phase_z, _rotate_x
@@ -72,8 +72,7 @@ def _check_gate(index: int, gate: NativeGate, n: int) -> None:
     kind, qubits, angles = gate.kind, gate.qubits, gate.angles
     qubit_key, angle_keys = _wire_fields(kind)
     pair = qubit_key == "qubits"
-    in_range = all(isinstance(q, (int, np.integer)) and type(q) is not bool and 0 <= q < n
-                   for q in qubits)  # bool is an int subclass
+    in_range = all(type(q) in _INTS and 0 <= q < n for q in qubits)
     if not in_range or len(set(qubits)) != len(qubits) or len(qubits) != 1 + pair:
         wire = qubits[0] if len(qubits) == 1 and not pair else list(qubits)
         raise ValueError(f"gate {index} ({kind}): bad {qubit_key!r}: {shown(wire)}")

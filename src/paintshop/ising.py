@@ -30,11 +30,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import BpspInstance, Coloring, json_fields, shown
+from .core import _INTS, BpspInstance, Coloring, json_fields, shown
 
 
-#: Python's and numpy's integer types; ``bool`` is not one.
-_INTS = frozenset({int, *(np.dtype(code).type for code in np.typecodes["AllInteger"])})
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 

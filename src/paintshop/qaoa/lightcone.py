@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import TooLarge
-from ..ising import _INTS, CouplingGraph
+from ..core import _INTS, TooLarge
+from ..ising import CouplingGraph
 from . import history
 from .params import PHASE_SCALE, QaoaParams
 from .statevector import _MAX_QUBITS, EnergySummary, simulate_state

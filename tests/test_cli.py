@@ -1,5 +1,6 @@
 """Command line surface: determinism, column layout, exit codes."""
 import csv
+import hashlib
 import io
 import json
 import os
@@ -27,8 +28,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: The flags each experiment takes, as the README's experiment table lists them.
 ACCEPTED = {
-    "table1-p1": {"--n", "--count", "--seed", "--cap-qubits"},
-    "table1-p2": {"--n", "--count", "--seed", "--cap-qubits"},
+    "table1-p1": {"--n", "--count", "--seed"},
+    "table1-p2": {"--n", "--count", "--seed"},
     "fig2": {"--n", "--count", "--seed"},
     "fig3": {"--count", "--seed", "--p"},
     "fig6": {"--p", "--alpha"},
@@ -36,9 +37,34 @@ ACCEPTED = {
     "heuristic-asymptotics": {"--n", "--count", "--seed"},
 }
 FLAG_VALUES = {"--n": "99", "--count": "1", "--seed": "1", "--p": "1",
-               "--alpha": "3", "--cap-qubits": "2"}
+               "--alpha": "3", "--cap-qubits": "26"}
 REJECTED = [(name, flag) for name, taken in ACCEPTED.items()
             for flag in FLAG_VALUES if flag not in taken]
+#: Flags of ``solve`` and ``qaoa`` that the experiment parser does not have, so
+#: argparse rejects them before any runner is looked up.
+NOT_EXPERIMENT_FLAGS = {"--cap-qubits"}
+
+#: sha256 of each per-word command's output on ``gen --n 12 --count 4 --seed 3``:
+#: the JSONL file for ``gen``, else the CSV with its wall_time_ms column cut.
+PER_WORD_DIGESTS = {
+    ("gen",): "274722098df2ccd79aa30ca9b68db0b00de7d68a807d791e74073e840523309a",
+    ("solve", "--algo", "greedy"):
+        "5aa6b2572737a3df59bd05e42bce3c0b9421974dfd935ad71dc09f9a097f82ca",
+    ("solve", "--algo", "red-first"):
+        "b52028f3231dd9290cf9a98acd045fbac3b8ea4d2baaff57e9ca82ad1ec27336",
+    ("solve", "--algo", "recursive-greedy"):
+        "f63c2aee8d21c02766fea2318809267080a44f8770599f7d797f46601b19ef01",
+    ("solve", "--algo", "brute-force"):
+        "b80baae698642d6f6314bba0c555d275b3dea027fdcad308959835ca7226ff90",
+    ("solve", "--algo", "random-baseline"):
+        "7ead14761a0eaf128f077c8b5dfdc4261f2213d5056a237a8bace5bf8464ea2c",
+    ("qaoa", "--p", "2", "--method", "statevector"):
+        "98a7702142b91fc9ce8dd47c271a99c4effff5681078e8f926b6c39abc16af27",
+    ("qaoa", "--p", "2", "--method", "lightcone"):
+        "3f440e95538a158c7e80505f8823431d2652cc17047a39e94a47cf1d91418c6c",
+    ("qaoa", "--p", "1", "--shots", "100", "--seed", "5"):
+        "91f4e29773c38bf6090f7ce42db1b258ac2461213291d5ff817939b2bc7a2d40",
+}
 
 
 def run_cli(*args):
@@ -98,6 +124,20 @@ class TestGen:
             f"error: random words capped at {2**30} cars, got {n}"
         ]
         assert not out.exists()
+
+
+class TestPerWordBytes:
+    @pytest.mark.parametrize("command", PER_WORD_DIGESTS, ids=" ".join)
+    def test_output_matches_recorded_digest(self, tmp_path, command):
+        words, out = tmp_path / "words.jsonl", tmp_path / "out.csv"
+        assert run_cli("gen", "--n", "12", "--count", "4", "--seed", "3",
+                       "--out", str(words)) == 0
+        if command == ("gen",):
+            data = words.read_bytes()
+        else:
+            assert run_cli(*command, "--in", str(words), "--out", str(out)) == 0
+            data = "".join(",".join(row) + "\n" for row in drop_timing(out.read_text())).encode()
+        assert hashlib.sha256(data).hexdigest() == PER_WORD_DIGESTS[command]
 
 
 class TestSolve:
@@ -319,9 +359,15 @@ class TestExperiment:
     ])
     def test_out_of_range_flag_is_a_usage_error(self, tmp_path, capsys,
                                                 flag, value):
+        out = tmp_path / "x"
         assert run_cli("experiment", "table1-p1", "--n", "20", "--count", "1",
-                       flag, value, "--out", str(tmp_path / "x")) == 2
-        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+                       flag, value, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        if flag in NOT_EXPERIMENT_FLAGS:  # no range to check: no such experiment flag
+            assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        else:
+            assert f"argument {flag}: must be >=" in err
 
     def test_no_couplings_is_a_one_line_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -351,14 +397,19 @@ class TestExperiment:
         assert run_cli("experiment", name, flag, FLAG_VALUES[flag],
                        "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: {name} does not take {flag}"]
+        if flag in NOT_EXPERIMENT_FLAGS:
+            assert captured.err.splitlines()[-1] == (
+                f"paintshop: error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}")
+            assert "Traceback" not in captured.err
+        else:
+            assert captured.err.splitlines() == [f"error: {name} does not take {flag}"]
         assert captured.out == ""
         assert not out.exists()
 
     def test_table1_p2_defaults_to_n300_count10(self, monkeypatch):
         seen = []
 
-        def fake_lightcone(graph, params, support_cap):
+        def fake_lightcone(graph, params):
             seen.append(graph.n)
             return SimpleNamespace(mean_adjacency_energy=0.0, mean_color_changes=0.0)
 

@@ -4,6 +4,7 @@ Reference results come from independent naive implementations kept in this
 file (itertools enumeration, position-by-position walks), never from the
 package functions under test.
 """
+import enum
 import itertools
 import json
 
@@ -86,8 +87,9 @@ class TestValidate:
             validate([-1, 0, 0, -1])
 
     def test_rejects_non_integer_entries_without_coercion(self):
+        car = enum.IntEnum("Car", {"ZERO": 0}).ZERO  # an int subclass, as bool is
         for word in ([0.5, 0.5], [0, 1, 1, 0.9], [0.0, 0.0], ["0", "0"],
-                     [True, True], [0, True, 0, True]):
+                     [True, True], [0, True, 0, True], [car, car]):
             with pytest.raises(BadIdentifier):
                 validate(word)
 

@@ -1,4 +1,5 @@
 """Native-gate compilation: exact structure, unitary equivalence, wire format."""
+import enum
 import json
 
 import numpy as np
@@ -195,8 +196,11 @@ class TestGateMatrices:
             (r(-1, 0.3, 0.0), r"gate 1 \(r\): bad 'qubit': -1"),
             (NativeGate("rxx", (0,), (0.2,)), r"gate 1 \(rxx\): bad 'qubits': \[0\]"),
             (rxx(0, 10**5000, 0.2), r"gate 1 \(rxx\): bad 'qubits': \[0, <int of 16610 bits>\]"),
+            # an int subclass, as bool is: rejected as it is in a coupling key
+            (rz(enum.IntEnum("Qubit", {"ONE": 1}).ONE, 0.1), r"gate 1 \(rz\): bad 'qubit': <Qubit.ONE: 1>"),
         ],
-        ids=["rz-beyond-n", "rxx-same-qubit", "r-negative", "rxx-one-qubit", "rxx-past-str"],
+        ids=["rz-beyond-n", "rxx-same-qubit", "r-negative", "rxx-one-qubit", "rxx-past-str",
+             "rz-int-enum"],
     )
     def test_directly_built_bad_qubits_are_rejected(self, gate, message):
         circ = NativeCircuit(n=2, gates=(rz(0, 0.1), gate))
